@@ -126,48 +126,6 @@ func (b *Hier) NextSet(i int) int {
 	return -1
 }
 
-// ForEachSetRange calls fn for every set element in [lo, hi), ascending,
-// stopping early when fn returns false. It is the shard-local form of
-// ForEachSet: a walk over shard [lo, hi) touches only that range's groups
-// (clipping the boundary words), so concurrent walks over disjoint shards
-// read disjoint words apart from the two shared boundary groups — reads
-// only, which is why the engine's sharded phases may run it concurrently
-// with each other (never concurrently with Set/Clear).
-func (b *Hier) ForEachSetRange(lo, hi int, fn func(i int) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return
-	}
-	gLo, gHi := lo>>6, (hi-1)>>6
-	for g := gLo; g <= gHi; g++ {
-		w := b.words[g]
-		if g == gLo {
-			w &^= 1<<uint(lo&63) - 1
-		}
-		if g == gHi && hi&63 != 0 {
-			w &= 1<<uint(hi&63) - 1
-		}
-		for ; w != 0; w &= w - 1 {
-			if !fn(g<<6 + bits.TrailingZeros64(w)) {
-				return
-			}
-		}
-	}
-}
-
-// CountRange returns the number of set elements in [lo, hi), touching only
-// that range's words.
-func (b *Hier) CountRange(lo, hi int) int {
-	n := 0
-	b.ForEachSetRange(lo, hi, func(int) bool { n++; return true })
-	return n
-}
-
 // Count returns the number of set elements, visiting only occupied groups.
 func (b *Hier) Count() int {
 	n := 0

@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"math/bits"
-	"slices"
 	"testing"
 
 	"timedice/internal/rng"
@@ -211,48 +210,5 @@ func TestHierZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hot-path queries allocate %.1f times per run, want 0 (sink %d)", allocs, sink)
-	}
-}
-
-// TestForEachSetRange pins the range walk against the reference full walk
-// filtered to the range, across shard boundaries that split words unevenly.
-func TestForEachSetRange(t *testing.T) {
-	const n = 300
-	b := New(n)
-	r := rng.New(99)
-	ref := make(map[int]bool)
-	for i := 0; i < 120; i++ {
-		e := r.Intn(n)
-		if ref[e] {
-			b.Clear(e)
-			delete(ref, e)
-		} else {
-			b.Set(e)
-			ref[e] = true
-		}
-	}
-	for _, tc := range [][2]int{{0, n}, {0, 0}, {64, 128}, {63, 65}, {1, 299}, {130, 131}, {200, 200}, {-5, 400}} {
-		lo, hi := tc[0], tc[1]
-		var got []int
-		b.ForEachSetRange(lo, hi, func(i int) bool { got = append(got, i); return true })
-		var want []int
-		b.ForEachSet(func(i int) bool {
-			if i >= lo && i < hi {
-				want = append(want, i)
-			}
-			return true
-		})
-		if !slices.Equal(got, want) {
-			t.Errorf("ForEachSetRange(%d,%d) = %v, want %v", lo, hi, got, want)
-		}
-		if c := b.CountRange(lo, hi); c != len(want) {
-			t.Errorf("CountRange(%d,%d) = %d, want %d", lo, hi, c, len(want))
-		}
-	}
-	// Early stop.
-	calls := 0
-	b.ForEachSetRange(0, n, func(i int) bool { calls++; return false })
-	if calls > 1 {
-		t.Errorf("early-stop walk made %d calls, want 1", calls)
 	}
 }

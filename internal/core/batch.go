@@ -11,16 +11,21 @@ package core
 // PartitionState structs costs an O(P) pointer chase per decision — the
 // dominant term at P=4096+ where a decision touches a handful of partitions.
 // The view path aliases the arenas directly (bind is O(1)), walks runnable
-// partitions through the bitset, and hoists the two loop-invariant terms of
+// partitions through the bitset, and hoists the loop-invariant terms of
 // Eq. 1–2 out of the fixpoint iteration:
 //
 //   - off[j]       = supply_j − now      (the stream anchor, constant per decision)
 //   - remPrefix[h] = Σ_{j<h} remaining_j (term (b), the hp remaining-budget sum)
+//   - minOff[h]    = min_{j≤h} off[j]    (the earliest tracked arrival)
 //
-// Both are filled lazily in index order (extend), so a decision that tests up
-// to partition h pays O(h) hoisting total — amortized O(1) per test.
+// All three are filled lazily in index order (extend), so a decision that
+// tests up to partition h pays O(h) hoisting total — amortized O(1) per test.
 //
-// The fixpoint itself runs the decision kernel (kernel.go): no hardware
+// minOff makes the common test O(1): when the busy interval's opening length
+// w0 reaches no tracked stream's first arrival, every interference term is
+// zero and the run is settled before it starts (see fixpoint).
+//
+// Otherwise the fixpoint runs the decision kernel (kernel.go): no hardware
 // division (interference counts come from the precomputed vtime.Reciprocal
 // arena) and no redundant re-summation (the busy-interval length cur is
 // monotone nondecreasing within a run, so the kernel maintains each tracked
@@ -49,7 +54,7 @@ import (
 
 // stateView is the per-decision view over the engine's hot arenas. The six
 // arena slices and the ready bitset are aliased, never copied; off, remPrefix,
-// and narr are policy-owned scratch reused across decisions.
+// minOff, and narr are policy-owned scratch reused across decisions.
 type stateView struct {
 	remaining []vtime.Duration
 	budget    []vtime.Duration
@@ -64,13 +69,11 @@ type stateView struct {
 	// Hoisted per-decision terms, valid for indices < hoistN.
 	off       []vtime.Duration // supplyAt(j) − now
 	remPrefix []vtime.Duration // Σ_{j<h} remaining[j]
+	minOff    []vtime.Duration // min_{j≤h} off[j]
 	hoistN    int
 
 	// Fixpoint scratch: narr[j] is stream j's next charged arrival during the
-	// current fixpoint run. The sequential path passes this one slice to every
-	// fixpoint call; the parallel search hands each worker its own slice so
-	// concurrent speculative fixpoints over the shared read-only view never
-	// alias scratch.
+	// current fixpoint run.
 	narr []vtime.Duration
 }
 
@@ -89,10 +92,12 @@ func (v *stateView) bind(hot engine.Hot, now vtime.Time) {
 	if cap(v.off) < n {
 		v.off = make([]vtime.Duration, n)
 		v.remPrefix = make([]vtime.Duration, n)
+		v.minOff = make([]vtime.Duration, n)
 		v.narr = make([]vtime.Duration, n)
 	}
 	v.off = v.off[:n]
 	v.remPrefix = v.remPrefix[:n]
+	v.minOff = v.minOff[:n]
 	v.narr = v.narr[:n]
 	v.hoistN = 0
 }
@@ -108,16 +113,20 @@ func (v *stateView) supplyAt(j int) vtime.Time {
 	return v.deadline[j]
 }
 
-// extend fills off and remPrefix up through index h. Tests run in increasing
-// h, so across one decision the total work is O(max h), not O(h) per test.
+// extend fills off, remPrefix and minOff up through index h. Tests run in
+// increasing h, so across one decision the total work is O(max h), not O(h)
+// per test.
 func (v *stateView) extend(h int) {
 	for j := v.hoistN; j <= h; j++ {
+		o := v.supplyAt(j).Sub(v.now)
+		v.off[j] = o
 		if j == 0 {
 			v.remPrefix[0] = 0
+			v.minOff[0] = o
 		} else {
 			v.remPrefix[j] = v.remPrefix[j-1] + v.remaining[j-1]
+			v.minOff[j] = min(v.minOff[j-1], o)
 		}
-		v.off[j] = v.supplyAt(j).Sub(v.now)
 	}
 	if h+1 > v.hoistN {
 		v.hoistN = h + 1
@@ -130,23 +139,32 @@ func (v *stateView) extend(h int) {
 //
 // The tracked stream set is hp(Π_h), plus Π_h's own replenishment stream when
 // it is inactive (its indirect interference term) — exactly the streams
-// passHorizon charges. kernelInit opens the run at cur = w0 with one
-// divisionless sweep, leaving narr[j] = the first arrival of stream j at or
-// after cur. Each subsequent iteration exploits that cur only grows: streams
-// whose recorded arrival is still at or beyond the new cur contribute no new
-// replenishments, so their count, sum share, and arrival carry over untouched,
-// and the rescan (guarded by the running minimum arrival) advances only the
+// passHorizon charges.
+//
+// Fast path: every term ⌈(cur−o)/T⌉₀ is zero while cur ≤ o, so when w0 is at
+// or below the earliest tracked arrival minOff[m−1] (or nothing is tracked)
+// the interference sum at cur = w0 is zero, the first iteration's
+// next = w0 + 0 equals cur, and the run converges there. Each stream's first
+// arrival at or after w0 is its own anchor o, so the minimum the kernel would
+// record is minOff[m−1] itself. The fast path returns exactly that — verdict,
+// cur, deadline, minArr — in O(1), and charges the same one iteration and m
+// terms kernelInit would have (the m terms are settled in bulk by the
+// prefix minimum rather than evaluated one by one), so every counter and
+// digest is identical to the kernel's.
+//
+// Otherwise kernelInit opens the run at cur = w0 with one divisionless sweep,
+// leaving narr[j] = the first arrival of stream j at or after cur. Each
+// subsequent iteration exploits that cur only grows: streams whose recorded
+// arrival is still at or beyond the new cur contribute no new
+// replenishments, so their count, sum share, and arrival carry over
+// untouched, and the rescan (guarded by the running minimum arrival) advances only the
 // crossed ones. The running sum therefore always equals the reference's
 // from-scratch Σ ⌈(cur−o)/T⌉₀·B — in exact integers, hence bit-for-bit in
 // int64 — and the iteration sequence (and so the verdict and converged cur)
 // replays the reference exactly. At convergence narr holds precisely the
 // arrivals passHorizon recomputes; their minimum is returned in minArr for
 // horizonOf.
-//
-// scratch is the caller-owned arrival buffer (at least h+1 long); apart from
-// it and the returned values, fixpoint reads the view but writes nothing, so
-// calls with distinct scratch slices may run concurrently over one view.
-func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
 	active := v.remaining[h] > 0
 	w0 := w + v.remPrefix[h]
 	if active {
@@ -162,14 +180,28 @@ func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) 
 	if !active {
 		m = h + 1
 	}
+	cost.terms = int64(m)
+	top := m // streams the prefix minimum covers
+	if fastPathDropsOwnStream && !active {
+		top = h
+	}
+	if top == 0 || w0 <= v.minOff[top-1] {
+		cost.iters = 1
+		if fixpointIterHook != nil {
+			fixpointIterHook(h, w0, 0)
+		}
+		if top == 0 {
+			return true, w0, deadline, vtime.Forever, cost
+		}
+		return true, w0, deadline, v.minOff[top-1], cost
+	}
 	off := v.off[:m]
 	per := v.period[:m]
 	bud := v.budget[:m]
 	rec := v.recip[:m]
-	narr := scratch[:m]
+	narr := v.narr[:m]
 	cur = w0
 	sum, minArr := kernelInit(off, per, bud, rec, narr, cur)
-	cost.terms = int64(m)
 	for {
 		cost.iters++
 		if fixpointIterHook != nil {
@@ -207,8 +239,7 @@ func (v *stateView) fixpoint(h int, w vtime.Duration, scratch []vtime.Duration) 
 // tracked streams' first arrivals at or after cur are already in hand, so no
 // division and no O(h) rescan. When the tracked set is empty (h = 0 and
 // active), minArr is Forever and only the deadline slack bounds the horizon,
-// as in the reference. A pure function of its arguments, so speculative
-// workers can fold it into their recorded verdicts.
+// as in the reference.
 func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 	horizon := deadline - cur
 	if gap := minArr - cur; gap < horizon {
@@ -228,7 +259,7 @@ func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cach
 	}
 	res.Tests++
 	v.extend(h)
-	ok, cur, deadline, minArr, cost := v.fixpoint(h, w, v.narr)
+	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
 	res.FixpointIters += cost.iters
 	res.InterferenceTerms += cost.terms
 	if cache != nil {
@@ -347,11 +378,7 @@ func (p *Policy) pickView(sys *engine.System, now vtime.Time, rnd *rng.Rand) *pa
 		if p.cache != nil {
 			p.cache.begin(sys.StateStamps(), v.n())
 		}
-		if pool, ranges := sys.ShardExec(); pool != nil {
-			res = p.searchParallel(v, pool, ranges, p.scratch, p.cache)
-		} else {
-			res = v.search(p.quantum, p.scratch, p.cache)
-		}
+		res = v.search(p.quantum, p.scratch, p.cache)
 		p.scratch = res.Candidates
 		if p.cache != nil {
 			p.searchInit = true

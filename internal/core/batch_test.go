@@ -23,6 +23,7 @@ func viewFromStates(states []PartitionState, now vtime.Time) *stateView {
 		now:       now,
 		off:       make([]vtime.Duration, n),
 		remPrefix: make([]vtime.Duration, n),
+		minOff:    make([]vtime.Duration, n),
 		narr:      make([]vtime.Duration, n),
 	}
 	for i := range states {
@@ -76,6 +77,24 @@ func randomStates(r *rng.Rand, n int, now vtime.Time) []PartitionState {
 	return states
 }
 
+// unsetArrival marks arrival-buffer slots no fixpoint has written. Every
+// arrival the kernel records is at or after the busy-interval start w0 > 0,
+// so it can never collide with a real arrival.
+const unsetArrival vtime.Duration = -1
+
+// fixpointBranch runs the view fixpoint for level h on an arrival buffer
+// filled with unsetArrival and reports whether the fast path settled it:
+// kernelInit records an arrival for every tracked stream, while the fast path
+// (and the early w0 > deadline exit, which runs no iteration) leaves the
+// buffer untouched.
+func fixpointBranch(v *stateView, h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost, fast bool) {
+	for j := range v.narr {
+		v.narr[j] = unsetArrival
+	}
+	ok, cur, deadline, minArr, cost = v.fixpoint(h, w)
+	return ok, cur, deadline, minArr, cost, cost.iters > 0 && v.narr[0] == unsetArrival
+}
+
 // TestViewMatchesAoS is the differential pin for the batched path: on random
 // snapshots, the view fixpoint (the divisionless incremental kernel), the
 // full candidate search (cached and uncached), and the lottery selection must
@@ -83,7 +102,7 @@ func randomStates(r *rng.Rand, n int, now vtime.Time) []PartitionState {
 // same test and iteration counts, same random draws. A fixpointIterHook
 // additionally re-sums the interference from scratch with plain division at
 // every kernel iteration and requires the incrementally maintained sum to
-// match exactly.
+// match exactly. The trials must reach both the fast path and the kernel.
 func TestViewMatchesAoS(t *testing.T) {
 	r := rng.New(0xd1ce)
 	now := vtime.Time(17 * vtime.Millisecond)
@@ -108,6 +127,7 @@ func TestViewMatchesAoS(t *testing.T) {
 	}
 	defer func() { fixpointIterHook = nil }()
 
+	var fastRuns, kernelRuns int
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(24)
 		states := randomStates(r, n, now)
@@ -118,7 +138,13 @@ func TestViewMatchesAoS(t *testing.T) {
 		v.extend(n - 1)
 		for h := 0; h < n; h++ {
 			aok, acur, adl, acost := schedFixpoint(states, h, now, w)
-			vok, vcur, vdl, vmin, vcost := v.fixpoint(h, w, v.narr)
+			vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, h, w)
+			switch {
+			case fast:
+				fastRuns++
+			case vcost.iters > 0:
+				kernelRuns++
+			}
 			if aok != vok || acur != vcur || adl != vdl {
 				t.Fatalf("trial %d h=%d: fixpoint (%v,%v,%v) vs view (%v,%v,%v)",
 					trial, h, aok, acur, adl, vok, vcur, vdl)
@@ -173,6 +199,79 @@ func TestViewMatchesAoS(t *testing.T) {
 					t.Fatalf("trial %d mode %v: selectFrom = %d, Select = %d", trial, mode, got, want)
 				}
 			}
+		}
+	}
+	if fastRuns == 0 || kernelRuns == 0 {
+		t.Fatalf("trials reached the fast path %d times and the kernel %d times; both branches must be exercised", fastRuns, kernelRuns)
+	}
+}
+
+// TestFixpointFastPath pins the fast path's boundaries against the reference
+// (schedFixpoint and passHorizon): the run is settled without the kernel
+// exactly when the opening interval w0 reaches no tracked stream's first
+// arrival, and the settled run carries the reference's verdict, interval,
+// iteration and term counts, and validity horizon.
+func TestFixpointFastPath(t *testing.T) {
+	const ms = vtime.Millisecond
+	now := vtime.Time(17 * ms)
+	w := DefaultQuantum
+	// part builds one partition with a 2 ms budget every 20 ms, its deadline
+	// dl past now, and its supply anchor supply past now (negative: unset,
+	// falling back to the deadline).
+	part := func(rem, dl, supply vtime.Duration) PartitionState {
+		st := PartitionState{
+			Budget:        2 * ms,
+			Period:        20 * ms,
+			Remaining:     rem,
+			Active:        rem > 0,
+			Runnable:      rem > 0,
+			NextReplenish: now.Add(dl),
+		}
+		if supply >= 0 {
+			st.NextSupply = now.Add(supply)
+		}
+		return st
+	}
+	cases := []struct {
+		name   string
+		states []PartitionState
+		h      int
+		fast   bool
+	}{
+		// h = 1 active: w0 = w + 1 ms + 1 ms = 3 ms.
+		{"w0 equals minOff", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 1, true},
+		{"w0 one past minOff", []PartitionState{part(ms, 10*ms, 3*ms-1), part(ms, 10*ms, -1)}, 1, false},
+		{"supply due at now", []PartitionState{part(ms, 10*ms, 0), part(ms, 10*ms, -1)}, 1, false},
+		// h = 1 inactive: w0 = w + 1 ms = 2 ms, and its own stream (anchored
+		// at its deadline) is the earliest tracked arrival.
+		{"inactive own stream holds minOff", []PartitionState{part(ms, 10*ms, 8*ms), part(0, 2*ms, -1)}, 1, true},
+		{"inactive own stream inside the interval", []PartitionState{part(ms, 10*ms, 8*ms), part(0, 2*ms-1, -1)}, 1, false},
+		// h = 0 active tracks no stream at all.
+		{"h=0 active", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 0, true},
+	}
+	for _, tc := range cases {
+		v := viewFromStates(tc.states, now)
+		v.extend(len(tc.states) - 1)
+		aok, acur, adl, acost := schedFixpoint(tc.states, tc.h, now, w)
+		vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, tc.h, w)
+		if fast != tc.fast {
+			t.Errorf("%s: fast path taken = %v, want %v", tc.name, fast, tc.fast)
+		}
+		if !aok || !vok {
+			t.Fatalf("%s: fixture must pass (reference %v, view %v)", tc.name, aok, vok)
+		}
+		if acur != vcur || adl != vdl || acost.iters != vcost.iters {
+			t.Errorf("%s: reference (cur %v, deadline %v, %d iterations) vs view (cur %v, deadline %v, %d iterations)",
+				tc.name, acur, adl, acost.iters, vcur, vdl, vcost.iters)
+		}
+		if fast && vcost.terms != acost.terms {
+			t.Errorf("%s: fast path charged %d terms, reference %d", tc.name, vcost.terms, acost.terms)
+		}
+		if ah, vh := passHorizon(tc.states, tc.h, now, acur, adl), horizonOf(vcur, vdl, vmin); ah != vh {
+			t.Errorf("%s: passHorizon %v vs view horizon %v", tc.name, ah, vh)
+		}
+		if tc.h == 0 && vmin != vtime.Forever {
+			t.Errorf("%s: minArr = %v with no tracked stream, want Forever", tc.name, vmin)
 		}
 	}
 }

@@ -104,18 +104,6 @@ func (c *Cache) lookup(h int, now vtime.Time) (ok, hit bool) {
 	return false, false
 }
 
-// peek reports whether a lookup(h, now) would hit, without mutating any
-// cache state (no hit/miss counters, no searchValid update). The speculative
-// workers of the parallel candidate search use it to decide which verdicts
-// need computing: because the sequential search tests each h at most once and
-// in strictly increasing order, every store it performs lands at an index
-// already consumed, so the entry peek reads is exactly the entry the replay's
-// lookup will read — peek and the replayed lookup always agree.
-func (c *Cache) peek(h int, now vtime.Time) bool {
-	e := &c.entries[h]
-	return (cacheIgnoresInvalidation || e.stamp >= c.prefix[h]) && now <= e.validUntil
-}
-
 // store memoizes a freshly computed verdict for partition h.
 func (c *Cache) store(h int, ok bool, validUntil vtime.Time) {
 	c.entries[h] = verdictEntry{stamp: c.prefix[h], validUntil: validUntil, ok: ok}

@@ -26,20 +26,17 @@ package core
 import "timedice/internal/vtime"
 
 // fixCost tallies the work of one Algorithm-3 busy-interval run:
-// fixpoint iterations and interference terms actually evaluated. Iterations
-// are path-independent — the incremental kernel replays the reference
-// iteration sequence exactly — while term counts depend on the evaluation
-// strategy (the reference re-sums every stream per iteration, the kernel
-// advances only the streams whose next arrival was crossed).
+// fixpoint iterations and interference terms evaluated. Iterations are
+// path-independent — the incremental kernel replays the reference iteration
+// sequence exactly — while term counts depend on the evaluation strategy
+// (the reference re-sums every stream per iteration, the kernel advances
+// only the streams whose next arrival was crossed). The kernel's fast path
+// charges its m opening terms even though it settles them in bulk through
+// the prefix minimum of the stream anchors rather than evaluating each: that
+// keeps the count identical to the kernelInit sweep it replaces.
 type fixCost struct {
 	iters int64
 	terms int64
-}
-
-// add folds another run's tallies in.
-func (c *fixCost) add(o fixCost) {
-	c.iters += o.iters
-	c.terms += o.terms
 }
 
 // fixpointIterHook, when non-nil, observes every busy-interval iteration of

@@ -38,6 +38,18 @@ func denseKernelStates(n int, now vtime.Time) []PartitionState {
 	return states
 }
 
+// fastPathKernelStates is the dense fixture with every supply anchor moved
+// out to the replenishment deadline: no stream arrives inside any level's
+// busy interval, so the kernel settles every test on its O(1) fast path
+// while the reference still re-sums all h higher-priority streams.
+func fastPathKernelStates(n int, now vtime.Time) []PartitionState {
+	states := denseKernelStates(n, now)
+	for i := range states {
+		states[i].NextSupply = states[i].NextReplenish
+	}
+	return states
+}
+
 var benchVerdictSink bool
 
 // BenchmarkDecisionKernel times one full per-partition Algorithm-3 sweep
@@ -49,10 +61,12 @@ var benchVerdictSink bool
 //   - kernel: the batched stateView fixpoint, reciprocal division, incremental
 //     interference maintenance.
 //
-// CI runs both from the same binary and gates the dense kernel/reference
-// ratio (see .github/workflows/ci.yml); the dense fixture is the multi-
-// iteration high-interference shape, sparse is the randomized mostly-inactive
-// mix where early convergence dominates.
+// CI runs both from the same binary and gates the dense_P64 and
+// fastpath_P1024 reference/kernel ratios (see .github/workflows/ci.yml); the
+// dense fixture is the multi-iteration high-interference shape that runs the
+// full kernel, fastpath the same systems with no arrival inside any busy
+// interval, and sparse the randomized mostly-inactive mix where early
+// convergence dominates.
 func BenchmarkDecisionKernel(b *testing.B) {
 	now := vtime.Time(17 * vtime.Millisecond)
 	w := DefaultQuantum
@@ -62,6 +76,7 @@ func BenchmarkDecisionKernel(b *testing.B) {
 	}{
 		{"dense_P64", denseKernelStates(64, now)},
 		{"dense_P1024", denseKernelStates(1024, now)},
+		{"fastpath_P1024", fastPathKernelStates(1024, now)},
 		{"sparse_P1024", randomStates(rng.New(0xd1ce), 1024, now)},
 	}
 	for _, fx := range fixtures {
@@ -82,7 +97,7 @@ func BenchmarkDecisionKernel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for h := 0; h < n; h++ {
-					ok, _, _, _, _ := v.fixpoint(h, w, v.narr)
+					ok, _, _, _, _ := v.fixpoint(h, w)
 					benchVerdictSink = benchVerdictSink != ok
 				}
 			}
@@ -90,10 +105,11 @@ func BenchmarkDecisionKernel(b *testing.B) {
 	}
 }
 
-// TestDecisionKernelBenchFixture guards the dense fixture's premise: every
+// TestDecisionKernelBenchFixture guards the fixtures' premises. Dense: every
 // level passes (so the benchmark exercises full fixpoints, not early
 // failures) and the runs take multiple iterations (so the incremental
-// maintenance actually has work to skip).
+// maintenance actually has work to skip). Fastpath: every level passes and
+// the kernel settles every one on the fast path.
 func TestDecisionKernelBenchFixture(t *testing.T) {
 	now := vtime.Time(17 * vtime.Millisecond)
 	states := denseKernelStates(64, now)
@@ -107,5 +123,14 @@ func TestDecisionKernelBenchFixture(t *testing.T) {
 	}
 	if iters < int64(len(states))*3/2 {
 		t.Fatalf("dense fixture converged in %d total iterations over %d levels; need multi-iteration fixpoints", iters, len(states))
+	}
+
+	states = fastPathKernelStates(1024, now)
+	v := viewFromStates(states, now)
+	v.extend(len(states) - 1)
+	for h := range states {
+		if ok, _, _, _, _, fast := fixpointBranch(v, h, DefaultQuantum); !ok || !fast {
+			t.Fatalf("fastpath fixture at h=%d: pass %v, fast path %v; want both", h, ok, fast)
+		}
 	}
 }

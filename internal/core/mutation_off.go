@@ -10,3 +10,12 @@ package core
 // mutation_on.go), an injected staleness bug that the cached-vs-uncached
 // differential digest test must detect end-to-end.
 const cacheIgnoresInvalidation = false
+
+// fastPathDropsOwnStream is the mutation-testing hook for the fixpoint fast
+// path: normal builds test w0 against the prefix minimum over every tracked
+// stream, including an inactive partition's own replenishment stream. Under
+// -tags timedice_mutation the prefix minimum is read one index short for an
+// inactive partition (see mutation_on.go), so its own stream is ignored and
+// the fast path can settle a run whose interference sum is not zero. The
+// indexed-vs-scan differential digest test must detect it.
+const fastPathDropsOwnStream = false

@@ -11,3 +11,19 @@ package core
 // cached-vs-uncached differential digest comparison can catch it;
 // TestCacheMutationCaught asserts it does.
 const cacheIgnoresInvalidation = true
+
+// fastPathDropsOwnStream under the timedice_mutation tag: the fixpoint fast
+// path reads the prefix minimum at m−2 for an inactive partition, ignoring
+// its own replenishment stream, so a run whose own stream arrives inside the
+// opening busy interval is wrongly settled with a zero interference sum. Only
+// the indexed path runs the fast path, so the indexed-vs-scan differential
+// must catch it; TestFastPathMutationCaught asserts it does. It is a variable
+// so that test and TestRecipMutationCaught can each isolate their own mutant.
+var fastPathDropsOwnStream = true
+
+// SetFastPathMutant switches the fast-path mutant on or off and returns its
+// previous setting. It exists only in timedice_mutation builds.
+func SetFastPathMutant(on bool) (was bool) {
+	was, fastPathDropsOwnStream = fastPathDropsOwnStream, on
+	return was
+}

@@ -111,7 +111,10 @@ type SearchResult struct {
 	// kernel replays the reference's iteration sequence exactly — while term
 	// counts depend on the evaluation strategy (the reference re-sums every
 	// charged stream per iteration; the kernel advances only the streams
-	// whose next arrival was crossed).
+	// whose next arrival was crossed). A kernel run the fast path settles
+	// still counts its m opening terms: they are settled in bulk by the
+	// prefix minimum of the stream anchors instead of one by one, and
+	// counting them keeps InterferenceTerms identical to the full sweep.
 	FixpointIters     int64
 	InterferenceTerms int64
 }
@@ -285,8 +288,7 @@ type Policy struct {
 	view    stateView // batched arena view (batch.go), used under indexed stepping
 	scratch []int
 	weights []float64
-	cache   *Cache   // nil when the verdict cache is disabled
-	par     parState // parallel-search scratch (parallel.go), used when the engine is sharded
+	cache   *Cache // nil when the verdict cache is disabled
 
 	// Decision-level search reuse: while no partition has been stamped since
 	// the last full search (searchStamp) and now is within the minimum

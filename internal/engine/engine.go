@@ -243,7 +243,7 @@ type System struct {
 	dueBuf []int32
 
 	// Sharded stepping state (SetSharding, sharding.go). When shardQ is
-	// non-nil the partition universe is split into the contiguous shardRanges
+	// non-nil the partition universe is split into contiguous shard ranges
 	// and the per-partition-independent step phases run across shardPool:
 	// each shard owns a range heap in shardQ mirroring nextEv for its range
 	// (setNextEv routes writes by shardOf), due discovery collects per shard
@@ -253,13 +253,12 @@ type System struct {
 	// disabled. shardFn is the prebuilt due-collection closure (no per-step
 	// allocation); shardNow publishes the step instant to it across the
 	// pool's release barrier.
-	shardPool   *shard.Pool
-	shardRanges []shard.Range
-	shardOf     []int32
-	shardQ      []*eventq.IndexMin
-	shardDue    [][]int32
-	shardFn     func(worker int)
-	shardNow    vtime.Time
+	shardPool *shard.Pool
+	shardOf   []int32
+	shardQ    []*eventq.IndexMin
+	shardDue  [][]int32
+	shardFn   func(worker int)
+	shardNow  vtime.Time
 	// runnableBuf is the reusable backing array for Runnable.
 	runnableBuf []*partition.Partition
 

@@ -34,8 +34,8 @@ func buildFor(tb testing.TB, spec model.SystemSpec, kind policies.Kind) *engine.
 }
 
 // shardFixtures are the workload/policy mixes the exactness tests sweep:
-// dense keeps most partitions runnable (deep Algorithm-3 searches, so the
-// decision phase's speculate-then-replay is exercised hard), sparse keeps
+// dense keeps most partitions runnable (deep Algorithm-3 searches between
+// the sharded due phases), sparse keeps
 // the due phase selective (shard heaps mostly empty), and the Table I base
 // system is the paper's reference shape.
 var shardFixtures = []struct {
@@ -139,8 +139,7 @@ func TestShardedResetReplays(t *testing.T) {
 
 // TestShardedSteppingZeroAlloc pins the steady-state cost contract of the
 // sharded step loop: once warmed, stepping with a live pool dispatch — due
-// collection and the speculative decision phase both crossing the barrier —
-// allocates nothing.
+// collection crossing the barrier — allocates nothing.
 func TestShardedSteppingZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin skipped in -short")
@@ -164,10 +163,10 @@ func TestShardedSteppingZeroAlloc(t *testing.T) {
 // BenchmarkEngineStepShard is the scaling matrix behind BENCH_scale.json's
 // shard section: one op advances the warmed system by one simulated
 // millisecond, swept over workers ∈ {1,2,4,8} with shards = 4·workers.
-// dense/P1024 (TimeDiceW, deep candidate searches) is the speedup-gated
-// configuration; the sparse P=4096/16384 rows probe the due/horizon phases
-// at scale, where per-step work is too small to amortize a dispatch — the
-// gate applies to dense only.
+// dense/P1024 (TimeDiceW, deep candidate searches) is decision-bound, so
+// sharding only moves its due phase; the sparse P=4096/16384 rows probe the
+// due/horizon phases at scale, where per-step work is too small to amortize
+// a dispatch.
 func BenchmarkEngineStepShard(b *testing.B) {
 	type cfg struct {
 		name string

@@ -5,8 +5,8 @@ package engine
 // a persistent worker pool (internal/shard) with results byte-identical to
 // the sequential path.
 //
-// The step loop has exactly three phases whose work decomposes by partition
-// index with no cross-partition data flow:
+// The step loop has two phases whose work decomposes by partition index with
+// no cross-partition data flow:
 //
 //  1. Due-event *discovery* — which partitions have nextEv ≤ now. Under
 //     sharding each contiguous shard owns a range heap (eventq.IndexMinRange)
@@ -25,12 +25,8 @@ package engine
 //     routed writes), so the "parallel" part is the heap maintenance the
 //     shards do anyway; step folds the O(shards) roots in shard index order.
 //
-//  3. The batched Algorithm-3 candidate fixpoints — handled on the policy
-//     side (core.Policy reads the pool and ranges through ShardExec and runs
-//     its speculate-then-replay search over the read-only arenas).
-//
-// Everything else — delivery application, execution, the lottery draw —
-// stays sequential, which is what makes the parallel run *exact* rather than
+// Everything else — delivery application, the candidate search, execution,
+// the lottery draw — stays sequential, which is what makes the parallel run *exact* rather than
 // merely statistically equivalent: every RNG draw happens on one goroutine
 // in the same order as the sequential run.
 //
@@ -53,9 +49,8 @@ import (
 // ranges, per-shard range heaps are built and initialized from the
 // authoritative nextEv cache, and subsequent steps run the shardable phases
 // across the pool (the caller retains ownership of the pool and must Close
-// it after the system is done with it; one pool may be shared by the
-// decision phase via ShardExec but never by two systems stepping
-// concurrently). With a nil pool or shards < 2 sharding is disabled and the
+// it after the system is done with it; one pool must never be shared by two
+// systems stepping concurrently). With a nil pool or shards < 2 sharding is disabled and the
 // global event heap is resynced from nextEv, restoring exactly the
 // sequential configuration.
 //
@@ -74,7 +69,6 @@ func (s *System) SetSharding(pool *shard.Pool, shards int) {
 			}
 		}
 		s.shardPool = nil
-		s.shardRanges = nil
 		s.shardOf = nil
 		s.shardQ = nil
 		s.shardDue = nil
@@ -82,11 +76,11 @@ func (s *System) SetSharding(pool *shard.Pool, shards int) {
 		return
 	}
 	n := len(s.Partitions)
-	s.shardRanges = shard.Split(n, shards)
+	ranges := shard.Split(n, shards)
 	s.shardOf = make([]int32, n)
 	s.shardQ = make([]*eventq.IndexMin, shards)
 	s.shardDue = make([][]int32, shards)
-	for k, r := range s.shardRanges {
+	for k, r := range ranges {
 		q := eventq.NewIndexMinRange(r.Lo, r.Hi)
 		for i := r.Lo; i < r.Hi; i++ {
 			s.shardOf[i] = int32(k)
@@ -107,13 +101,6 @@ func (s *System) SetSharding(pool *shard.Pool, shards int) {
 			s.shardDue[k] = d
 		}
 	}
-}
-
-// ShardExec exposes the sharding configuration to the decision layer: the
-// worker pool and the contiguous shard ranges, or (nil, nil) when sharding
-// is disabled. core.Policy's parallel candidate search reads it each Pick.
-func (s *System) ShardExec() (*shard.Pool, []shard.Range) {
-	return s.shardPool, s.shardRanges
 }
 
 // ShardWorkers returns the worker count sharded stepping runs across, or 1

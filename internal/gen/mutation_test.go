@@ -5,7 +5,9 @@ package gen
 import (
 	"testing"
 
+	"timedice/internal/core"
 	"timedice/internal/experiments/runner"
+	"timedice/internal/vtime"
 )
 
 // TestCacheMutationCaught proves the differential digest test has teeth
@@ -62,8 +64,34 @@ func TestCacheMutationCaught(t *testing.T) {
 // reciprocal arena (or the differential lost its sensitivity) and this test
 // fails. The tag's other mutations (cache invalidation, snapshot supply,
 // server replenishment) apply to both runs equally and cancel out of this
-// comparison.
+// comparison; the fast-path mutant would not, so it is switched off here.
 func TestRecipMutationCaught(t *testing.T) {
+	defer core.SetFastPathMutant(core.SetFastPathMutant(false))
+	if n := indexedScanDivergence(t); n == 0 {
+		t.Fatal("corrupted-reciprocal mutant survived: the kernel differential cannot catch divisionless arithmetic drift")
+	}
+}
+
+// TestFastPathMutationCaught proves the indexed-vs-scan differential has
+// teeth against the fast-path mutant: under -tags timedice_mutation, the
+// kernel's O(1) fast path reads the prefix minimum of the stream anchors one
+// index short for an inactive partition (see core/mutation_on.go), so a run
+// whose own replenishment arrives inside the opening busy interval is settled
+// with a zero interference sum — an unsafe PASS the full kernel would not
+// give. Only the indexed path has the fast path, so at least one scenario
+// must diverge from the scan run. The reciprocal mutant is switched off so
+// that this divergence is the fast path's alone.
+func TestFastPathMutationCaught(t *testing.T) {
+	defer vtime.SetRecipMutant(vtime.SetRecipMutant(false))
+	if n := indexedScanDivergence(t); n == 0 {
+		t.Fatal("fast-path mutant survived: the indexed-vs-scan differential cannot catch an interference stream the prefix minimum drops")
+	}
+}
+
+// indexedScanDivergence runs the differential corpus under indexed and scan
+// stepping and returns how many scenarios' digests diverge.
+func indexedScanDivergence(t *testing.T) int {
+	t.Helper()
 	n := 200
 	if testing.Short() {
 		n = 60
@@ -89,8 +117,6 @@ func TestRecipMutationCaught(t *testing.T) {
 			count++
 		}
 	}
-	if count == 0 {
-		t.Fatalf("corrupted-reciprocal mutant survived %d scenarios: the kernel differential cannot catch divisionless arithmetic drift", n)
-	}
-	t.Logf("mutant caught: %d/%d scenarios diverged", count, n)
+	t.Logf("%d/%d scenarios diverged", count, n)
+	return count
 }

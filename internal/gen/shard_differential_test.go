@@ -24,14 +24,12 @@ func wallClockless(c engine.Counters) engine.Counters {
 
 // TestShardedDigestsMatch is the end-to-end exactness proof for sharded
 // stepping: over the generated corpus (every policy — due-phase sharding is
-// policy-independent, and the TimeDice policies additionally exercise the
-// speculate-then-replay decision phase), running the identical scenario
+// policy-independent), running the identical scenario
 // sequentially and sharded across worker counts {1,2,4,8} (shards =
 // 4·workers) must produce byte-identical event streams, identical oracle
 // verdicts, byte-identical deterministic counters (full struct, wall-clock
 // zeroed), and identical verdict-cache hit/miss tallies. Any drift in due
-// ordering, horizon folding, speculation/replay agreement, or the merge
-// shows up here. The race lane runs this same test under -race, making it
+// ordering, horizon folding, or the merge shows up here. The race lane runs this same test under -race, making it
 // the system-level concurrency check too.
 func TestShardedDigestsMatch(t *testing.T) {
 	n := 1000
