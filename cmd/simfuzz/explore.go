@@ -42,15 +42,10 @@ func (a *exploreStats) add(b exploreStats) {
 	a.ControlMismatches += b.ControlMismatches
 }
 
-// foldSink folds events into a running event-stream digest.
-type foldSink struct{ h uint64 }
-
-func (s *foldSink) Event(e telemetry.Event) { s.h = check.FoldEvent(s.h, e) }
-
 // interestSink folds the parent run's digest and raises the interesting flag
 // on the oracle-adjacent events worth branching from.
 type interestSink struct {
-	foldSink
+	*check.Digester
 	interesting bool
 	// deadlines[partition][task] is the task's effective relative deadline,
 	// from the scenario spec (spec order == engine priority order).
@@ -58,7 +53,7 @@ type interestSink struct {
 }
 
 func (s *interestSink) Event(e telemetry.Event) {
-	s.foldSink.Event(e)
+	s.Digester.Event(e)
 	switch e.Kind {
 	case telemetry.KindInversionOpen, telemetry.KindBudgetDeplete:
 		s.interesting = true
@@ -70,14 +65,13 @@ func (s *interestSink) Event(e telemetry.Event) {
 	}
 }
 
-// runForkDigest runs a fork to the horizon, folding its events onto seed, and
+// runForkDigest runs a fork to the horizon, folding its events onto ds, and
 // returns the final digest.
-func runForkDigest(f *engine.System, seed uint64, horizon vtime.Time) uint64 {
-	ds := &foldSink{h: seed}
+func runForkDigest(f *engine.System, ds *check.Digester, horizon vtime.Time) uint64 {
 	f.AttachTelemetry(ds)
 	f.Run(horizon)
 	f.FlushTelemetry()
-	return ds.h
+	return ds.Digest()
 }
 
 // exploreScenario re-runs sc step-wise and branches `futures` forks at up to
@@ -88,7 +82,7 @@ func exploreScenario(sc gen.Scenario, futures int) (exploreStats, []check.Violat
 	if err != nil {
 		return exploreStats{}, nil, err
 	}
-	sink := &interestSink{foldSink: foldSink{h: check.DigestSeed}}
+	sink := &interestSink{Digester: check.NewDigester()}
 	for _, p := range sc.Spec.Partitions {
 		m := make(map[string]vtime.Duration, len(p.Tasks))
 		for _, t := range p.Tasks {
@@ -122,7 +116,7 @@ func exploreScenario(sc gen.Scenario, futures int) (exploreStats, []check.Violat
 		// the parent's prefix digest, must land on the parent's final digest.
 		controls = append(controls, control{
 			at:     sys.Now(),
-			digest: runForkDigest(sys.Fork(), sink.h, horizon),
+			digest: runForkDigest(sys.Fork(), check.ResumeDigester(sink.Digest(), sink.Events()), horizon),
 		})
 		// Futures: same state, fresh seeds — how many schedules can the
 		// policy still reach from here?
@@ -130,7 +124,7 @@ func exploreScenario(sc gen.Scenario, futures int) (exploreStats, []check.Violat
 		for k := 0; k < futures; k++ {
 			f := sys.Fork()
 			f.Rand.Seed(seeder.Uint64())
-			distinct[runForkDigest(f, check.DigestSeed, horizon)] = struct{}{}
+			distinct[runForkDigest(f, check.NewDigester(), horizon)] = struct{}{}
 			st.Futures++
 		}
 		st.Distinct += int64(len(distinct))
@@ -139,11 +133,11 @@ func exploreScenario(sc gen.Scenario, futures int) (exploreStats, []check.Violat
 
 	var viols []check.Violation
 	for _, c := range controls {
-		if c.digest != sink.h {
+		if c.digest != sink.Digest() {
 			st.ControlMismatches++
 			viols = append(viols, check.Violation{
 				Oracle: "fork-control", Time: c.at,
-				Msg: fmt.Sprintf("control fork digest %#016x != parent %#016x", c.digest, sink.h),
+				Msg: fmt.Sprintf("control fork digest %#016x != parent %#016x", c.digest, sink.Digest()),
 			})
 		}
 	}

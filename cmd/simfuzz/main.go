@@ -169,8 +169,6 @@ type trial struct {
 	explore exploreStats
 }
 
-const fnvOffset, fnvPrime = uint64(0xcbf29ce484222325), uint64(0x100000001b3)
-
 // defaultCheckpointEvery is the chunk size between checkpoint writes: large
 // enough that checkpoint IO is noise, small enough that an interrupted
 // overnight campaign loses minutes, not hours.
@@ -208,7 +206,7 @@ func newCampaignState(cfg config) *campaignState {
 		Scenarios:     cfg.scenarios,
 		Seed:          cfg.seed,
 		Explore:       cfg.explore,
-		Combined:      fnvOffset,
+		Combined:      check.DigestSeed,
 		PerPolicy:     map[string]int{},
 		PerPolicyViol: map[string]int{},
 		FirstBad:      -1,
@@ -236,9 +234,7 @@ func (cs *campaignState) fold(i int, tr trial) {
 			}
 		}
 	}
-	for b := 0; b < 64; b += 8 {
-		cs.Combined = (cs.Combined ^ (tr.digest >> b & 0xff)) * fnvPrime
-	}
+	cs.Combined = check.Fold64(cs.Combined, tr.digest)
 	cs.ExploreSum.add(tr.explore)
 	cs.Next = i + 1
 }

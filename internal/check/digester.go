@@ -16,6 +16,10 @@ type Digester struct {
 // NewDigester returns a Digester starting at DigestSeed.
 func NewDigester() *Digester { return &Digester{h: DigestSeed} }
 
+// ResumeDigester returns a Digester continuing a stream whose first n events
+// digested to h — a checkpoint's prefix, or a fork's parent run so far.
+func ResumeDigester(h uint64, n int64) *Digester { return &Digester{h: h, n: n} }
+
 // Event implements telemetry.Sink.
 func (d *Digester) Event(e telemetry.Event) {
 	d.h = hashEvent(d.h, e)
@@ -37,8 +41,9 @@ func (d *Digester) Reset() {
 
 var _ telemetry.Sink = (*Digester)(nil)
 
-// Fold64 folds one 64-bit word into a running FNV-1a digest, byte by byte —
-// the same primitive the event digest uses. Aggregators use it to combine
-// per-unit digests into one order-sensitive summary (e.g. multicore's
-// combined digest, folding per-core digests in core index order).
+// Fold64 folds one 64-bit word into a running FNV-1a digest as its eight
+// little-endian bytes — the same primitive the event digest uses.
+// Aggregators use it to combine per-unit digests into one order-sensitive
+// summary (e.g. multicore's combined digest, folding per-core digests in
+// core index order, and simfuzz's campaign digest).
 func Fold64(h, v uint64) uint64 { return fnvFold(h, v) }

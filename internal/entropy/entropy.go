@@ -18,6 +18,7 @@ package entropy
 
 import (
 	"math"
+	"slices"
 
 	"timedice/internal/engine"
 	"timedice/internal/infotheory"
@@ -166,14 +167,20 @@ func (o *ExhaustionObserver) Hook() func(engine.Segment) {
 // Spread returns, for partition i, summary statistics (in milliseconds) of
 // the budget-exhaustion offsets over the periods in which the partition
 // consumed its full budget. A larger Std means consumption finishing at less
-// predictable points — lower temporal locality.
+// predictable points — lower temporal locality. Samples are added in period
+// order, so the float sums are the same on every run.
 func (o *ExhaustionObserver) Spread(i int) stats.Summary {
-	var s stats.Summary
 	B := o.spec.Partitions[i].Budget
+	var full []int64
 	for k, used := range o.consumed[i] {
 		if used >= B {
-			s.Add(o.lastEnd[i][k].Milliseconds())
+			full = append(full, k)
 		}
+	}
+	slices.Sort(full)
+	var s stats.Summary
+	for _, k := range full {
+		s.Add(o.lastEnd[i][k].Milliseconds())
 	}
 	return s
 }

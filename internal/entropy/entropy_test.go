@@ -117,3 +117,20 @@ func TestTheorem1ExhaustionSpread(t *testing.T) {
 			tdwMean, tduMean)
 	}
 }
+
+// TestExhaustionSpreadDeterministic: Spread sums its float samples in period
+// order, so repeated calls over the same observation agree to the bit even
+// though the per-period ledgers are maps.
+func TestExhaustionSpreadDeterministic(t *testing.T) {
+	spec := greedy(workload.TableILight())
+	obs := NewExhaustionObserver(spec)
+	runWith(t, spec, core.NewPolicy(), 11, obs.Hook())
+	for i := range spec.Partitions {
+		want := obs.Spread(i)
+		for k := 0; k < 20; k++ {
+			if got := obs.Spread(i); got != want {
+				t.Fatalf("partition %d: Spread changed between calls: %+v != %+v", i, got, want)
+			}
+		}
+	}
+}

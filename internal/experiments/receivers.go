@@ -75,7 +75,11 @@ func ReceiverZoo(sc Scale, w io.Writer) (*ReceiverZooResult, error) {
 	for _, r := range acc {
 		res.Rows = append(res.Rows, *r)
 	}
-	sort.Slice(res.Rows, func(a, b int) bool { return res.Rows[a].NoRandom > res.Rows[b].NoRandom })
+	// Rows come from a map: the name tie-break orders equal accuracies.
+	sort.Slice(res.Rows, func(a, b int) bool {
+		ra, rb := res.Rows[a], res.Rows[b]
+		return ra.NoRandom > rb.NoRandom || ra.NoRandom == rb.NoRandom && ra.Receiver < rb.Receiver
+	})
 	fprintf(w, "Receiver zoo (base load): accuracy by decoder\n")
 	fprintf(w, "%-22s %10s %10s\n", "receiver", "NoRandom", "TimeDiceW")
 	for _, r := range res.Rows {

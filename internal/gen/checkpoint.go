@@ -16,7 +16,6 @@ import (
 	"timedice/internal/engine"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
-	"timedice/internal/telemetry"
 	"timedice/internal/vtime"
 )
 
@@ -48,19 +47,6 @@ type Checkpoint struct {
 	Events       int64
 }
 
-// digestSink folds every event into a running check digest.
-type digestSink struct {
-	h uint64
-	n int64
-}
-
-func newDigestSink() *digestSink { return &digestSink{h: check.DigestSeed} }
-
-func (d *digestSink) Event(e telemetry.Event) {
-	d.h = check.FoldEvent(d.h, e)
-	d.n++
-}
-
 // CheckpointAt runs the scenario from zero to the first step boundary at or
 // after `at` (capped at the horizon) and captures a checkpoint there.
 func CheckpointAt(sc Scenario, at vtime.Time) (Checkpoint, error) {
@@ -68,7 +54,7 @@ func CheckpointAt(sc Scenario, at vtime.Time) (Checkpoint, error) {
 	if err != nil {
 		return Checkpoint{}, err
 	}
-	sink := newDigestSink()
+	sink := check.NewDigester()
 	sys.AttachTelemetry(sink)
 	horizon := vtime.Time(0).Add(sc.Horizon)
 	for sys.Now() < at && sys.Now() < horizon {
@@ -78,7 +64,7 @@ func CheckpointAt(sc Scenario, at vtime.Time) (Checkpoint, error) {
 	if err := sys.Snapshot(&buf); err != nil {
 		return Checkpoint{}, err
 	}
-	return Checkpoint{State: buf.Bytes(), At: sys.Now(), PrefixDigest: sink.h, Events: sink.n}, nil
+	return Checkpoint{State: buf.Bytes(), At: sys.Now(), PrefixDigest: sink.Digest(), Events: sink.Events()}, nil
 }
 
 // CheckpointBeforeViolation runs the scenario with the full oracle suite
@@ -96,8 +82,7 @@ func CheckpointBeforeViolation(sc Scenario) (cp Checkpoint, found bool, err erro
 	if err != nil {
 		return Checkpoint{}, false, err
 	}
-	sink := newDigestSink()
-	sys.AttachTelemetry(telemetry.Multi{suite, sink})
+	sys.AttachTelemetry(suite)
 	horizon := vtime.Time(0).Add(sc.Horizon)
 	var buf bytes.Buffer
 	for sys.Now() < horizon {
@@ -108,8 +93,8 @@ func CheckpointBeforeViolation(sc Scenario) (cp Checkpoint, found bool, err erro
 		cp = Checkpoint{
 			State:        bytes.Clone(buf.Bytes()),
 			At:           sys.Now(),
-			PrefixDigest: sink.h,
-			Events:       sink.n,
+			PrefixDigest: suite.Digest(),
+			Events:       suite.Events(),
 		}
 		sys.Step(horizon)
 		if _, n := suite.Violations(); n > 0 {

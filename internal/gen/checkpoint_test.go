@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"timedice/internal/check"
 	"timedice/internal/rng"
 	"timedice/internal/vtime"
 )
@@ -18,7 +19,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := newDigestSink()
+	full := check.NewDigester()
 	sys.AttachTelemetry(full)
 	sys.Run(horizon)
 	sys.FlushTelemetry()
@@ -38,14 +39,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if restored.Now() != cp.At {
 		t.Fatalf("restored system at %v, want %v", restored.Now(), cp.At)
 	}
-	suffix := &digestSink{h: cp.PrefixDigest, n: cp.Events}
+	suffix := check.ResumeDigester(cp.PrefixDigest, cp.Events)
 	restored.AttachTelemetry(suffix)
 	restored.Run(horizon)
 	restored.FlushTelemetry()
 
-	if suffix.h != full.h || suffix.n != full.n {
+	if suffix.Digest() != full.Digest() || suffix.Events() != full.Events() {
 		t.Fatalf("restore-and-replay digest %#016x (%d events) != straight line %#016x (%d events)",
-			suffix.h, suffix.n, full.h, full.n)
+			suffix.Digest(), suffix.Events(), full.Digest(), full.Events())
 	}
 }
 
@@ -60,7 +61,7 @@ func TestCheckpointBeforeViolationClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := newDigestSink()
+	full := check.NewDigester()
 	sys.AttachTelemetry(full)
 	sys.Run(horizon)
 	sys.FlushTelemetry()
@@ -80,15 +81,15 @@ func TestCheckpointBeforeViolationClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suffix := &digestSink{h: cp.PrefixDigest, n: cp.Events}
+	suffix := check.ResumeDigester(cp.PrefixDigest, cp.Events)
 	restored.AttachTelemetry(suffix)
 	restored.Step(horizon)
 	if restored.Now() != horizon {
 		t.Fatalf("one step from the final boundary ended at %v, want %v", restored.Now(), horizon)
 	}
 	restored.FlushTelemetry()
-	if suffix.h != full.h || suffix.n != full.n {
+	if suffix.Digest() != full.Digest() || suffix.Events() != full.Events() {
 		t.Fatalf("final step digest %#016x (%d events) != straight line %#016x (%d events)",
-			suffix.h, suffix.n, full.h, full.n)
+			suffix.Digest(), suffix.Events(), full.Digest(), full.Events())
 	}
 }
