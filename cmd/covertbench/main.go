@@ -40,7 +40,6 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "quick", "experiment scale: quick | full")
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "trial workers: 0 = one per CPU, 1 = sequential")
-	workers := fs.Int("workers", 1, "sharded-stepping workers inside each simulation (1 = sequential); does not affect results")
 	stream := fs.Bool("stream", false, "streaming (constant-memory sketch) aggregation for campaign/fig16; exact is the default")
 	progress := fs.Bool("progress", false, "print a periodic progress line to stderr")
 	obsFlags := obs.AddFlags(fs)
@@ -48,17 +47,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sc := experiments.Quick()
-	if strings.EqualFold(*scaleName, "full") {
-		sc = experiments.Full()
+	sc, err := experiments.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	sc.Seed = *seed
 	sc.Parallel = *parallel
 	sc.Stream = *stream
-	if *workers < 1 {
-		*workers = 1
-	}
-	sc.ShardWorkers = *workers
 
 	type runner struct {
 		name string
@@ -93,7 +88,6 @@ func run(args []string) error {
 	// Campaign ops: one Progress "trial" per experiment, the run ledger, and
 	// the exposition server for the duration.
 	prog := obs.NewProgress("covertbench", int64(len(selected)))
-	prog.SetShardWorkers(*workers)
 	ledger, srv, err := obsFlags.Start("covertbench", fs, prog)
 	if err != nil {
 		return err

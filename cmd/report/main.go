@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"timedice/internal/experiments"
@@ -39,9 +38,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sc := experiments.Quick()
-	if strings.EqualFold(*scaleName, "full") {
-		sc = experiments.Full()
+	sc, err := experiments.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	sc.Seed = *seed
 	sc.Parallel = *parallel

@@ -7,9 +7,6 @@
 // The campaign is reproducible bit-for-bit from -seed: scenario seeds are
 // pre-drawn sequentially from one master rng, so the output — including the
 // combined event-stream digest — is byte-identical for any -parallel value.
-// Orthogonally, -workers N shards each trial's simulation itself across N
-// OS threads (internal/shard); sharded stepping is exact, so the report is
-// also byte-identical for any -workers value.
 //
 //	simfuzz -scenarios 10000 -seed 1 -parallel 4
 //
@@ -37,7 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"timedice/internal/check"
@@ -48,7 +44,6 @@ import (
 	"timedice/internal/policies"
 	"timedice/internal/prof"
 	"timedice/internal/rng"
-	"timedice/internal/shard"
 	"timedice/internal/vtime"
 )
 
@@ -56,10 +51,6 @@ type config struct {
 	scenarios int
 	seed      uint64
 	parallel  int
-	// workers is the sharded-stepping worker count inside each trial's
-	// simulation (engine.System.SetSharding); 1 runs the sequential step
-	// loop. Orthogonal to parallel, which fans whole trials across workers.
-	workers   int
 	shrink    bool
 	window    int    // flight-recorder window, events per worker
 	bundleDir string // where post-mortem bundles land; empty disables them
@@ -96,7 +87,6 @@ func main() {
 	flag.IntVar(&cfg.scenarios, "scenarios", 1000, "number of scenarios to generate and check")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "master seed; the whole campaign is a pure function of it")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "worker count (<=0: one per CPU); does not affect output")
-	flag.IntVar(&cfg.workers, "workers", 1, "sharded-stepping workers inside each simulation (1 = sequential); does not affect output")
 	flag.BoolVar(&cfg.shrink, "shrink", true, "minimize the first failing scenario before reporting it")
 	flag.IntVar(&cfg.window, "recwindow", obs.DefaultRecorderWindow, "flight-recorder window per worker, in telemetry events")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write campaign state to this file after every chunk (enables resumption)")
@@ -108,11 +98,7 @@ func main() {
 	pf := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	cfg.prog = obs.NewProgress("simfuzz", int64(cfg.scenarios))
-	cfg.prog.SetShardWorkers(cfg.workers)
 	run, srv, err := obsFlags.Start("simfuzz", flag.CommandLine, cfg.prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simfuzz:", err)
@@ -286,6 +272,10 @@ func loadCheckpoint(path string) (*campaignState, error) {
 }
 
 func campaign(cfg config, w io.Writer) int {
+	if cfg.scenarios < 0 {
+		fmt.Fprintf(w, "simfuzz: -scenarios must be non-negative, got %d\n", cfg.scenarios)
+		return 2
+	}
 	prog := cfg.prog
 	if prog == nil {
 		prog = obs.NewProgress("simfuzz", int64(cfg.scenarios))
@@ -315,37 +305,9 @@ func campaign(cfg config, w io.Writer) int {
 		every = defaultCheckpointEvery
 	}
 
-	// One flight recorder per worker (the ring is reset at each trial start,
-	// so after a failure it holds the tail of exactly the failing run) plus,
-	// under -workers N>1, one persistent shard pool per worker that every
-	// trial on that worker dispatches onto. MapPooled has no teardown hook,
-	// so newState registers each pool for closing after its chunk drains.
-	type workerState struct {
-		rec  *obs.Recorder
-		pool *shard.Pool // nil when cfg.workers == 1
-	}
-	var (
-		poolMu sync.Mutex
-		pools  []*shard.Pool
-	)
-	newState := func() (*workerState, error) {
-		st := &workerState{rec: obs.NewRecorder(cfg.window)}
-		if cfg.workers > 1 {
-			st.pool = shard.NewPool(cfg.workers)
-			poolMu.Lock()
-			pools = append(pools, st.pool)
-			poolMu.Unlock()
-		}
-		return st, nil
-	}
-	closePools := func() {
-		poolMu.Lock()
-		for _, p := range pools {
-			p.Close()
-		}
-		pools = pools[:0]
-		poolMu.Unlock()
-	}
+	// One flight recorder per worker: the ring is reset at each trial start,
+	// so after a failure it holds the tail of exactly the failing run.
+	newRecorder := func() (*obs.Recorder, error) { return obs.NewRecorder(cfg.window), nil }
 
 	for cs.Next < cfg.scenarios {
 		start := cs.Next
@@ -353,9 +315,8 @@ func campaign(cfg config, w io.Writer) int {
 		if end > cfg.scenarios {
 			end = cfg.scenarios
 		}
-		trials, err := runner.MapPooled(cfg.parallel, newState, seeds[start:end],
-			func(ws *workerState, ci int, seed uint64) (tr trial, err error) {
-				rec := ws.rec
+		trials, err := runner.MapPooled(cfg.parallel, newRecorder, seeds[start:end],
+			func(rec *obs.Recorder, ci int, seed uint64) (tr trial, err error) {
 				i := start + ci // global campaign index
 				prog.TrialStart()
 				t0 := time.Now()
@@ -371,15 +332,7 @@ func campaign(cfg config, w io.Writer) int {
 					prog.TrialDone(tr.events, tr.total, time.Since(t0))
 				}()
 				sc := gen.Generate(rng.New(seed), gen.DefaultOptions())
-				var (
-					suite *check.Suite
-					st    gen.RunStats
-				)
-				if ws.pool != nil {
-					suite, st, err = gen.RunShardedRecorded(sc, rec, ws.pool, 4*cfg.workers)
-				} else {
-					suite, st, err = gen.RunRecorded(sc, rec)
-				}
+				suite, st, err := gen.RunRecorded(sc, rec)
 				if err != nil {
 					return trial{}, fmt.Errorf("scenario %d (seed %#x): %w", i, seed, err)
 				}
@@ -410,7 +363,6 @@ func campaign(cfg config, w io.Writer) int {
 				}
 				return tr, nil
 			})
-		closePools()
 		if err != nil {
 			fmt.Fprintf(w, "simfuzz: %v\n", err)
 			return 2

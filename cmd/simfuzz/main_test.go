@@ -56,6 +56,18 @@ func TestCampaignSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestNegativeScenariosRejected: a negative -scenarios is a setup error
+// (exit 2 with a message), not a makeslice panic.
+func TestNegativeScenariosRejected(t *testing.T) {
+	var out bytes.Buffer
+	if code := campaign(config{scenarios: -5, seed: 1, parallel: 1}, &out); code != 2 {
+		t.Fatalf("campaign exited %d, want 2:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "-scenarios") {
+		t.Fatalf("rejection does not name the flag:\n%s", out.String())
+	}
+}
+
 // TestForcedViolationBundle drives the post-mortem path end to end: a forced
 // oracle violation makes the campaign exit 1 and dump a bundle whose
 // replayed event digest equals the live run's — the determinism cross-check

@@ -5,7 +5,6 @@ import (
 	"timedice/internal/ml"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
-	"timedice/internal/shard"
 	"timedice/internal/vtime"
 )
 
@@ -31,10 +30,6 @@ type Harness struct {
 	// noiseRand, and polRand by Split, then instrument splits noiseRand
 	// into cs.noiseSplits, in order.
 	root, bitRand, noiseRand, polRand *rng.Rand
-
-	// pool backs cfg.ShardWorkers > 1: the Harness owns it for its lifetime
-	// (Close releases the worker goroutines). nil when stepping sequentially.
-	pool *shard.Pool
 
 	horizon vtime.Time
 }
@@ -71,10 +66,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 	if cfg.Telemetry != nil {
 		h.sys.AttachTelemetry(cfg.Telemetry)
 	}
-	if cfg.ShardWorkers > 1 {
-		h.pool = shard.NewPool(cfg.ShardWorkers)
-		h.sys.SetSharding(h.pool, 4*cfg.ShardWorkers)
-	}
 
 	// Simulate long enough for the last test window's response to land;
 	// responses can spill a few windows past their arrival.
@@ -108,8 +99,3 @@ func (h *Harness) Run(seed uint64, vecTrainers ...ml.Trainer) (*Result, error) {
 	h.sys.Run(h.horizon)
 	return decode(cfg, h.cs, h.symbols, vecTrainers)
 }
-
-// Close releases the sharded-stepping worker pool, if any. A closed Harness
-// must not Run again; Close is a no-op for sequential harnesses and is safe
-// to call more than once.
-func (h *Harness) Close() { h.pool.Close() }

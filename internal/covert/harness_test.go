@@ -121,40 +121,3 @@ func TestHarnessTelemetryInvariance(t *testing.T) {
 	}
 	sameResult(t, "telemetry-attached", plain, recorded)
 }
-
-// TestHarnessShardedInvariance pins the Config.ShardWorkers contract behind
-// covertbench -workers: a channel trial stepped sharded across a worker pool
-// decodes to exactly the same Result as the sequential run — every response
-// time, every execution vector, every metric — under both a non-randomizing
-// and a randomizing policy, including across harness reuse.
-func TestHarnessShardedInvariance(t *testing.T) {
-	for _, kind := range []policies.Kind{policies.NoRandom, policies.TimeDiceW} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := baseConfig()
-			cfg.Policy = kind
-			cfg.ProfileWindows = 60
-			cfg.TestWindows = 120
-
-			cfg.ShardWorkers = 4
-			sharded, err := NewHarness(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sharded.Close()
-			cfg.ShardWorkers = 0
-			for _, seed := range []uint64{3, 7, 11} {
-				c := cfg
-				c.Seed = seed
-				plain, err := Run(c)
-				if err != nil {
-					t.Fatalf("seed %d sequential: %v", seed, err)
-				}
-				got, err := sharded.Run(seed)
-				if err != nil {
-					t.Fatalf("seed %d sharded: %v", seed, err)
-				}
-				sameResult(t, "sharded", plain, got)
-			}
-		})
-	}
-}

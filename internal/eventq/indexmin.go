@@ -20,31 +20,19 @@ import "timedice/internal/vtime"
 // sort the CollectDue result themselves. All operations are allocation-free
 // once the internal scratch stack has grown to its high-water mark.
 type IndexMin struct {
-	key  []vtime.Time // element id - base -> key
-	heap []int32      // heap position -> element id - base
-	pos  []int32      // element id - base -> heap position
-	// base shifts the element universe: the heap covers base..base+len-1.
-	// The engine's per-shard heaps use it so every heap speaks global
-	// partition indices while storing only its own contiguous slice.
-	base int32
+	key  []vtime.Time // element id -> key
+	heap []int32      // heap position -> element id
+	pos  []int32      // element id -> heap position
 	// stack is the retained scratch for CollectDue's pruned descent.
 	stack []int32
 }
 
 // NewIndexMin returns a heap over elements 0..n-1, all with key zero.
-func NewIndexMin(n int) *IndexMin { return NewIndexMinRange(0, n) }
-
-// NewIndexMinRange returns a heap over the contiguous element universe
-// lo..hi-1, all with key zero. Every method speaks the global ids of that
-// range — the base offset is internal — so a set of range heaps covering
-// disjoint shards composes transparently with a single full-universe heap.
-func NewIndexMinRange(lo, hi int) *IndexMin {
-	n := hi - lo
+func NewIndexMin(n int) *IndexMin {
 	q := &IndexMin{
 		key:   make([]vtime.Time, n),
 		heap:  make([]int32, n),
 		pos:   make([]int32, n),
-		base:  int32(lo),
 		stack: make([]int32, 0, n),
 	}
 	for i := range q.heap {
@@ -57,11 +45,8 @@ func NewIndexMinRange(lo, hi int) *IndexMin {
 // Len returns the (fixed) number of elements.
 func (q *IndexMin) Len() int { return len(q.key) }
 
-// Base returns the smallest element id of the universe (0 for NewIndexMin).
-func (q *IndexMin) Base() int { return int(q.base) }
-
 // Key returns element i's current key.
-func (q *IndexMin) Key(i int) vtime.Time { return q.key[int32(i)-q.base] }
+func (q *IndexMin) Key(i int) vtime.Time { return q.key[i] }
 
 // MinKey returns the smallest key, or vtime.Infinity if the heap is empty.
 func (q *IndexMin) MinKey() vtime.Time {
@@ -74,16 +59,15 @@ func (q *IndexMin) MinKey() vtime.Time {
 // Update sets element i's key to k and restores heap order. Setting the key
 // it already has is a no-op.
 func (q *IndexMin) Update(i int, k vtime.Time) {
-	e := int32(i) - q.base
-	old := q.key[e]
+	old := q.key[i]
 	if k == old {
 		return
 	}
-	q.key[e] = k
+	q.key[i] = k
 	if k < old {
-		q.up(q.pos[e])
+		q.up(q.pos[i])
 	} else {
-		q.down(q.pos[e])
+		q.down(q.pos[i])
 	}
 }
 
@@ -100,7 +84,7 @@ func (q *IndexMin) CollectDue(t vtime.Time, out []int32) []int32 {
 	for len(stack) > 0 {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out = append(out, q.base+q.heap[node])
+		out = append(out, q.heap[node])
 		c := 4*node + 1
 		for end := c + 4; c < end && c < n; c++ {
 			if q.key[q.heap[c]] <= t {

@@ -121,90 +121,3 @@ func TestIndexMinSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state ops allocated %.1f/op, want 0", allocs)
 	}
 }
-
-// TestIndexMinRangeMatchesFull is the shard-composition property: a set of
-// range heaps covering contiguous disjoint shards must answer CollectDue and
-// MinKey exactly like one full-universe heap fed the identical updates, with
-// the shard-order concatenation of sorted per-shard due sets equal to the
-// sorted full due set.
-func TestIndexMinRangeMatchesFull(t *testing.T) {
-	const n = 97
-	bounds := []int{0, 13, 14, 40, 64, 97} // uneven shards, one singleton
-	full := NewIndexMin(n)
-	var shards []*IndexMin
-	for s := 0; s+1 < len(bounds); s++ {
-		shards = append(shards, NewIndexMinRange(bounds[s], bounds[s+1]))
-	}
-	shardOf := func(i int) *IndexMin {
-		for s := 0; s+1 < len(bounds); s++ {
-			if i < bounds[s+1] {
-				return shards[s]
-			}
-		}
-		t.Fatalf("no shard for %d", i)
-		return nil
-	}
-	r := rng.New(42)
-	fullDue := make([]int32, 0, n)
-	shardDue := make([]int32, 0, n)
-	one := make([]int32, 0, n)
-	for round := 0; round < 2000; round++ {
-		i := r.Intn(n)
-		k := vtime.Time(uint64(r.Intn(500)))
-		full.Update(i, k)
-		shardOf(i).Update(i, k)
-		if full.Key(i) != shardOf(i).Key(i) {
-			t.Fatalf("round %d: Key(%d) full %v shard %v", round, i, full.Key(i), shardOf(i).Key(i))
-		}
-		min := vtime.Infinity
-		for _, q := range shards {
-			if m := q.MinKey(); m < min {
-				min = m
-			}
-		}
-		if got := full.MinKey(); got != min {
-			t.Fatalf("round %d: MinKey full %v shard-fold %v", round, got, min)
-		}
-		tq := vtime.Time(uint64(r.Intn(500)))
-		fullDue = full.CollectDue(tq, fullDue[:0])
-		slices.Sort(fullDue)
-		shardDue = shardDue[:0]
-		for _, q := range shards {
-			one = q.CollectDue(tq, one[:0])
-			slices.Sort(one)
-			shardDue = append(shardDue, one...)
-		}
-		if !slices.Equal(fullDue, shardDue) {
-			t.Fatalf("round %d: due sets differ at t=%v:\nfull  %v\nshard %v", round, tq, fullDue, shardDue)
-		}
-	}
-}
-
-// TestIndexMinRangeBasics covers the base-offset bookkeeping directly:
-// global ids in, global ids out, empty ranges legal.
-func TestIndexMinRangeBasics(t *testing.T) {
-	q := NewIndexMinRange(10, 15)
-	if q.Len() != 5 || q.Base() != 10 {
-		t.Fatalf("Len=%d Base=%d, want 5, 10", q.Len(), q.Base())
-	}
-	q.Update(12, 7)
-	q.Update(14, 3)
-	if got := q.Key(12); got != 7 {
-		t.Fatalf("Key(12) = %v, want 7", got)
-	}
-	if got := q.MinKey(); got != 0 {
-		t.Fatalf("MinKey = %v, want 0 (untouched elements)", got)
-	}
-	due := q.CollectDue(3, nil)
-	slices.Sort(due)
-	if want := []int32{10, 11, 13, 14}; !slices.Equal(due, want) {
-		t.Fatalf("CollectDue(3) = %v, want %v", due, want)
-	}
-	empty := NewIndexMinRange(5, 5)
-	if got := empty.MinKey(); got != vtime.Infinity {
-		t.Fatalf("empty range MinKey = %v, want Infinity", got)
-	}
-	if got := empty.CollectDue(vtime.Infinity, nil); len(got) != 0 {
-		t.Fatalf("empty range CollectDue = %v", got)
-	}
-}

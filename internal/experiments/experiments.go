@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"timedice/internal/covert"
 	"timedice/internal/ml"
@@ -39,12 +40,6 @@ type Scale struct {
 	// quantiles carry the sketch's documented ≤1% relative error once a
 	// series outgrows the sketch's exact small-N buffer.
 	Stream bool
-	// ShardWorkers, when > 1, steps each trial's simulation itself sharded
-	// across that many OS threads (covert.Config.ShardWorkers →
-	// engine.System.SetSharding). Sharded stepping is exact, so like
-	// Parallel it changes wall-clock time only; unlike Parallel it helps
-	// even when one trial dominates the run.
-	ShardWorkers int
 }
 
 // Full is the paper-scale configuration (10,000 test samples; long runs).
@@ -55,6 +50,18 @@ func Full() Scale {
 // Quick is a reduced scale for tests and benches: same shapes, smaller n.
 func Quick() Scale {
 	return Scale{ProfileWindows: 300, TestWindows: 600, SimSeconds: 20, Seed: 1}
+}
+
+// ScaleByName returns Quick or Full for the -scale flag value "quick" or
+// "full", case-insensitively, and an error for anything else.
+func ScaleByName(name string) (Scale, error) {
+	switch strings.ToLower(name) {
+	case "quick":
+		return Quick(), nil
+	case "full":
+		return Full(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want quick or full)", name)
 }
 
 func (s Scale) withDefaults() Scale {
@@ -110,7 +117,6 @@ func channelConfig(load Load, kind policies.Kind, sc Scale) covert.Config {
 		TestWindows:    sc.TestWindows,
 		Policy:         kind,
 		Seed:           sc.Seed,
-		ShardWorkers:   sc.ShardWorkers,
 	}
 }
 

@@ -13,6 +13,21 @@ func tiny() Scale {
 	return Scale{ProfileWindows: 200, TestWindows: 400, SimSeconds: 10, Seed: 1}
 }
 
+// TestScaleByName pins the -scale contract: quick and full in any case,
+// an error for anything else.
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]Scale{"quick": Quick(), "QUICK": Quick(), "full": Full(), "Full": Full()} {
+		if got, err := ScaleByName(name); err != nil || got != want {
+			t.Errorf("ScaleByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "fullish"} {
+		if _, err := ScaleByName(name); err == nil {
+			t.Errorf("ScaleByName(%q) accepted an unknown scale", name)
+		}
+	}
+}
+
 func TestFig04ChannelWorks(t *testing.T) {
 	res, err := Fig04(tiny(), io.Discard)
 	if err != nil {

@@ -34,9 +34,6 @@ type Progress struct {
 	fixIters   atomic.Int64
 	interfTerm atomic.Int64
 
-	shardWorkers atomic.Int64
-	shardMergeNs atomic.Int64
-
 	mu     sync.Mutex
 	trialS *stats.Sketch // per-trial wall-clock seconds
 }
@@ -44,9 +41,7 @@ type Progress struct {
 // NewProgress starts the campaign clock for tool with the given planned
 // trial count (0 when unknown — rate still works, ETA does not).
 func NewProgress(tool string, total int64) *Progress {
-	p := &Progress{tool: tool, total: total, start: time.Now(), trialS: stats.NewSketch()}
-	p.shardWorkers.Store(1) // sequential until a campaign says otherwise
-	return p
+	return &Progress{tool: tool, total: total, start: time.Now(), trialS: stats.NewSketch()}
 }
 
 // TrialStart marks one trial as claimed by a worker.
@@ -87,16 +82,6 @@ func (p *Progress) AddEngine(steps, arenaBytes, fixpointIters, interferenceTerms
 	p.interfTerm.Add(interferenceTerms)
 }
 
-// SetShardWorkers records the sharded-stepping worker count the campaign's
-// systems run with (1 = sequential, the default), for the run ledger and
-// the timedice_shard_workers gauge.
-func (p *Progress) SetShardWorkers(n int) { p.shardWorkers.Store(int64(n)) }
-
-// AddShardMerge folds one trial's sharded-merge wall-clock time
-// (engine.Counters.ShardMergeTime, maintained under MeasureLatency) into the
-// campaign total behind timedice_shard_merge_ns_total.
-func (p *Progress) AddShardMerge(d time.Duration) { p.shardMergeNs.Add(d.Nanoseconds()) }
-
 // Status is one consistent-enough snapshot of a running campaign: the
 // struct /statusz serves as JSON and the -progress reporter renders as a
 // stderr line. Counters are read individually (not under one lock), so a
@@ -119,13 +104,9 @@ type Status struct {
 	// FixpointIters and InterferenceTerms are the campaign totals of the
 	// Algorithm-3 decision-cost proxies (engine.Counters); their per-step
 	// means quantify how much busy-interval work each decision costs.
-	FixpointIters     int64 `json:"fixpointIters"`
-	InterferenceTerms int64 `json:"interferenceTerms"`
-	// ShardWorkers is the sharded-stepping worker count (1 = sequential);
-	// ShardMergeNs totals the sharded due-merge wall-clock time.
-	ShardWorkers   int64   `json:"shardWorkers"`
-	ShardMergeNs   int64   `json:"shardMergeNs"`
-	ElapsedSeconds float64 `json:"elapsedSeconds"`
+	FixpointIters     int64   `json:"fixpointIters"`
+	InterferenceTerms int64   `json:"interferenceTerms"`
+	ElapsedSeconds    float64 `json:"elapsedSeconds"`
 	// RatePerSecond is completed trials per elapsed second.
 	RatePerSecond float64 `json:"ratePerSecond"`
 	// ETASeconds extrapolates the remaining trials at the current rate; -1
@@ -152,8 +133,6 @@ func (p *Progress) Snapshot() Status {
 		ArenaBytes:        p.arenaBytes.Load(),
 		FixpointIters:     p.fixIters.Load(),
 		InterferenceTerms: p.interfTerm.Load(),
-		ShardWorkers:      p.shardWorkers.Load(),
-		ShardMergeNs:      p.shardMergeNs.Load(),
 		ETASeconds:        -1,
 	}
 	if l := s.CacheHits + s.CacheMisses; l > 0 {

@@ -1,59 +1,18 @@
-// Package shard provides the persistent worker-pool execution layer for
-// running one simulated system across OS cores: a fixed set of long-lived
-// workers released and joined through a sense-reversing barrier, plus the
-// contiguous range arithmetic that partitions an index universe into shards.
+// Package shard provides a persistent worker pool: a fixed set of
+// long-lived workers released and joined through a sense-reversing barrier.
 //
-// The design contract is determinism-first: the pool never decides *what*
-// runs, only *where*. Callers hand every worker the same function; the
-// function maps its worker id onto a static set of shard ranges (worker w
-// owns shards w, w+W, w+2W, …), so the assignment of work to workers — and
-// therefore every per-shard result buffer — is a pure function of the
-// configuration, independent of scheduling order. The deterministic merge
-// (fold per-shard results in shard index order) then produces output
-// byte-identical to a sequential run, which is what the engine's sharded
-// stepping and the multicore fan-out both rely on.
+// The engine does not use it; every simulated system steps on one goroutine.
+// The pool stays only because cmd/benchrec, a separate module, still builds
+// one for the deprecated engine.System.SetSharding no-op. Both go with the
+// next change to that command.
 //
 // Steady-state cost: one Run is two barrier crossings (release, join) with
 // no goroutine spawn and no allocation — the workers are created once by
 // NewPool and parked between rounds. A Pool with one worker degenerates to a
-// plain inline call, byte- and allocation-identical to not having a pool at
-// all, which keeps workers=1 configurations on exactly today's code path.
+// plain inline call.
 package shard
 
 import "sync"
-
-// Range is one contiguous shard of an index universe: the half-open
-// interval [Lo, Hi). An empty shard has Lo == Hi.
-type Range struct {
-	Lo, Hi int
-}
-
-// Len returns the number of indices in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
-// Split partitions the universe 0..n-1 into exactly k contiguous ranges in
-// ascending order, with sizes differing by at most one (the first n%k shards
-// get the extra element). k > n yields trailing empty shards — legal, and
-// exercised by the shard-boundary property tests: an empty shard contributes
-// nothing to any phase and nothing to the merge. Split(0, k) is k empty
-// shards; k <= 0 is treated as 1.
-func Split(n, k int) []Range {
-	if k <= 0 {
-		k = 1
-	}
-	out := make([]Range, k)
-	base, rem := n/k, n%k
-	lo := 0
-	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Range{Lo: lo, Hi: lo + size}
-		lo += size
-	}
-	return out
-}
 
 // barrier is a counter-based sense-reversing barrier over a fixed party
 // count. Each crossing flips the sense: parties arriving in round r wait for
@@ -98,8 +57,7 @@ func (b *barrier) await() {
 // Pool is a persistent pool of workers executing one function at a time
 // across all workers. The caller participates as worker 0, so a Pool of W
 // workers owns W−1 goroutines. Run may be called any number of times;
-// concurrent Run calls on one Pool are not allowed (the engine issues at
-// most one dispatch at a time, per step phase).
+// concurrent Run calls on one Pool are not allowed.
 type Pool struct {
 	workers int
 	bar     *barrier // nil when workers == 1 (pure inline mode)
@@ -147,8 +105,7 @@ func (p *Pool) worker(id int) {
 //
 // The release barrier publishes fn (and everything the caller wrote before
 // Run) to the workers; the join barrier publishes everything the workers
-// wrote back to the caller — the happens-before edges the engine's
-// read-only-arena phases rely on.
+// wrote back to the caller.
 func (p *Pool) Run(fn func(worker int)) {
 	if p.bar == nil {
 		fn(0)

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-func TestSplitProperties(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{
-		{0, 1}, {0, 4}, {1, 1}, {1, 4}, {5, 2}, {7, 3}, {64, 8},
-		{100, 7}, {3, 8}, {16384, 16}, {10, 0}, {10, -2},
-	} {
-		rs := Split(tc.n, tc.k)
-		wantK := tc.k
-		if wantK <= 0 {
-			wantK = 1
-		}
-		if len(rs) != wantK {
-			t.Fatalf("Split(%d,%d): %d ranges, want %d", tc.n, tc.k, len(rs), wantK)
-		}
-		// Contiguous ascending cover of [0, n).
-		lo := 0
-		minLen, maxLen := tc.n+1, -1
-		for _, r := range rs {
-			if r.Lo != lo || r.Hi < r.Lo {
-				t.Fatalf("Split(%d,%d): bad range %+v at lo=%d", tc.n, tc.k, r, lo)
-			}
-			lo = r.Hi
-			if l := r.Len(); l < minLen {
-				minLen = l
-			}
-			if l := r.Len(); l > maxLen {
-				maxLen = l
-			}
-		}
-		if lo != tc.n {
-			t.Fatalf("Split(%d,%d): covers [0,%d), want [0,%d)", tc.n, tc.k, lo, tc.n)
-		}
-		if maxLen-minLen > 1 {
-			t.Errorf("Split(%d,%d): shard sizes differ by %d, want <=1", tc.n, tc.k, maxLen-minLen)
-		}
-	}
-}
-
 func TestPoolRunsEveryWorkerOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		p := NewPool(w)
@@ -61,7 +24,7 @@ func TestPoolRunsEveryWorkerOnce(t *testing.T) {
 // TestPoolPublishes pins the happens-before contract: values written by the
 // caller before Run are visible to every worker, and per-worker results
 // written during Run are visible to the caller after Run. Run under -race
-// this is the memory-model test for the engine's sharded phases.
+// this is the pool's memory-model test.
 func TestPoolPublishes(t *testing.T) {
 	const w = 4
 	p := NewPool(w)
