@@ -336,7 +336,7 @@ func campaign(cfg config, w io.Writer) int {
 				if err != nil {
 					return trial{}, fmt.Errorf("scenario %d (seed %#x): %w", i, seed, err)
 				}
-				prog.AddCache(st.CacheHits, st.CacheMisses)
+				prog.AddCache(st.Policy.CacheHits, st.Policy.CacheMisses)
 				prog.AddEngine(st.Counters.Decisions, st.Counters.ArenaBytesTouched,
 					st.Counters.FixpointIters, st.Counters.InterferenceTerms)
 				vs, total := suite.Violations()

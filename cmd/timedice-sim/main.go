@@ -43,6 +43,22 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Simulated time has microsecond resolution, so a positive flag below
+	// 1µs is as empty as zero: a zero horizon divides the summary by zero
+	// and a zero cell divides the Gantt rendering by zero.
+	horizon := vtime.Duration(dur.Microseconds())
+	cellSize := vtime.Duration(cell.Microseconds())
+	if horizon <= 0 {
+		return fmt.Errorf("-dur %v: must be at least 1µs", *dur)
+	}
+	if cellSize <= 0 {
+		return fmt.Errorf("-cell %v: must be at least 1µs", *cell)
+	}
+	switch *traceMode {
+	case "gantt", "csv", "none":
+	default:
+		return fmt.Errorf("unknown trace mode %q", *traceMode)
+	}
 
 	var spec model.SystemSpec
 	if *configPath != "" {
@@ -83,19 +99,19 @@ func run(args []string) error {
 		return err
 	}
 
-	horizon := vtime.Time(vtime.Duration(dur.Microseconds()))
-	rec := trace.NewRecorder(0, horizon)
+	end := vtime.Time(horizon)
+	rec := trace.NewRecorder(0, end)
 	if *traceMode != "none" || *pngPath != "" {
 		sys.TraceFn = rec.Hook()
 	}
-	sys.Run(horizon)
+	sys.Run(end)
 
 	if *pngPath != "" {
 		f, err := os.Create(*pngPath)
 		if err != nil {
 			return err
 		}
-		err = rec.GanttPNG(len(spec.Partitions), vtime.Duration((*cell).Microseconds()), 8, f)
+		err = rec.GanttPNG(len(spec.Partitions), cellSize, 8, f)
 		if closeErr := f.Close(); err == nil {
 			err = closeErr
 		}
@@ -112,16 +128,13 @@ func run(args []string) error {
 	switch *traceMode {
 	case "gantt":
 		fmt.Printf("system=%s policy=%s dur=%v seed=%d\n", spec.Name, pol.Name(), dur, *seed)
-		fmt.Print(rec.Gantt(names, vtime.Duration((*cell).Microseconds())))
+		fmt.Print(rec.Gantt(names, cellSize))
 	case "csv":
 		fmt.Print(rec.CSV())
-	case "none":
-	default:
-		return fmt.Errorf("unknown trace mode %q", *traceMode)
 	}
 
 	c := sys.Counters
-	secs := vtime.Duration(dur.Microseconds()).Seconds()
+	secs := horizon.Seconds()
 	fmt.Printf("\ndecisions=%d (%.1f/s) switches=%d (%.1f/s) busy=%.1f%% idle=%.1f%%\n",
 		c.Decisions, float64(c.Decisions)/secs, c.Switches, float64(c.Switches)/secs,
 		100*c.BusyTime.Seconds()/secs, 100*c.IdleTime.Seconds()/secs)

@@ -66,3 +66,31 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Error("bad trace mode accepted")
 	}
 }
+
+// TestBadFlagsRejected pins that malformed flags fail before any simulation:
+// an empty horizon or Gantt cell and an unknown trace mode are errors, and
+// the rejected run leaves no PNG behind.
+func TestBadFlagsRejected(t *testing.T) {
+	dir := t.TempDir()
+	png := filepath.Join(dir, "x.png")
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"zero cell", []string{"-cell", "0"}, "-cell"},
+		{"sub-microsecond cell", []string{"-cell", "1ns"}, "-cell"},
+		{"zero dur", []string{"-dur", "0"}, "-dur"},
+		{"negative dur", []string{"-dur", "-5ms"}, "-dur"},
+		{"unknown trace with png", []string{"-trace", "bogus", "-png", png}, "unknown trace mode"},
+	}
+	for _, tc := range cases {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(png); !os.IsNotExist(err) {
+		t.Errorf("rejected run wrote %s (stat: %v)", png, err)
+	}
+}

@@ -58,11 +58,17 @@ func run(args []string, stdout *os.File) error {
 	if *summaryPath != "" {
 		return printSummary(*summaryPath, stdout)
 	}
+	// Simulated time has microsecond resolution: anything shorter than 1µs
+	// would run nothing and write four empty artifacts.
+	horizon := vtime.Duration(dur.Microseconds())
+	if horizon <= 0 {
+		return fmt.Errorf("-dur %v: must be at least 1µs", *dur)
+	}
 
 	res, err := executeTrace(traceConfig{
 		Scenario: *scenario,
 		Policy:   *policyName,
-		Dur:      vtime.Duration(dur.Microseconds()),
+		Dur:      horizon,
 		Seed:     *seed,
 		OutDir:   *out,
 	})
@@ -70,7 +76,7 @@ func run(args []string, stdout *os.File) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "scenario %s under %s for %v (seed %d)\nartifacts in %s: trace.json, events.jsonl, metrics.txt, metrics.csv\n\n",
-		*scenario, *policyName, vtime.Duration(dur.Microseconds()), *seed, *out)
+		*scenario, *policyName, horizon, *seed, *out)
 	return res.Summary.WriteText(stdout, res.PartitionNames)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"timedice/internal/telemetry"
@@ -212,5 +213,20 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := parsePolicy("nope"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestNonPositiveDurRejected pins that -dur 0 and a negative -dur fail
+// without writing any artifact.
+func TestNonPositiveDurRejected(t *testing.T) {
+	for _, d := range []string{"0", "-1s", "500ns"} {
+		dir := filepath.Join(t.TempDir(), "out")
+		err := run([]string{"-scenario", "three", "-dur", d, "-out", dir}, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "-dur") {
+			t.Errorf("-dur %s: err = %v, want a -dur error", d, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("-dur %s: output directory created (stat: %v)", d, err)
+		}
 	}
 }

@@ -1,18 +1,36 @@
 package core
 
-// This file is the batched Algorithm-3 path: the same candidate search,
-// busy-interval fixpoint, horizon computation, and lottery selection as
-// timedice.go, re-expressed over the engine's struct-of-arrays hot arenas
-// (engine.Hot) instead of a []PartitionState snapshot.
+// This file is the verdict source of a TimeDice decision, stateView: the
+// partition state one decision reads, and how it computes an Algorithm-3
+// verdict. The candidate walk (search), the cache-aware test front end
+// (testVerdict, cache.go), the lottery and Pick are written once, over a
+// stateView; a view is bound in one of two ways:
 //
-// Why it exists: under indexed stepping the engine already maintains exact
-// per-partition hot state in contiguous slices (remaining, deadline, supply,
-// budget, period) plus a hierarchical ready bitset. Snapshotting that into
-// PartitionState structs costs an O(P) pointer chase per decision — the
-// dominant term at P=4096+ where a decision touches a handful of partitions.
-// The view path aliases the arenas directly (bind is O(1)), walks runnable
-// partitions through the bitset, and hoists the loop-invariant terms of
-// Eq. 1–2 out of the fixpoint iteration:
+//   - bind, the production source: it aliases the engine's struct-of-arrays
+//     hot arenas (engine.Hot) and ready bitset, and verdicts run on the
+//     divisionless decision kernel;
+//   - bindSnapshot, the reference: a []PartitionState snapshot, with a ready
+//     set rebuilt from the snapshot's own Runnable flags and verdicts from
+//     the plain-division schedFixpoint/passHorizon (kernel.go).
+//
+// The public CandidateSearch, Select and SchedulabilityTest, ScanStepping
+// decisions (which snapshot the live servers) and the unit tests use the
+// reference, so the indexed-vs-scan differential checks the engine's arena
+// publication, its ready-bitset maintenance and the kernel against it. The
+// binding is data, not an interface: an interface or a generic type
+// parameter sends every candidate's lottery read and every computed verdict
+// through an indirect call, which measurably slows the decision-dominated
+// dense-P1024 benchmark (EXPERIMENTS.md); here the only fork is one
+// predictable branch per computed verdict.
+//
+// Why the production binding exists: under indexed stepping the engine
+// already maintains exact per-partition hot state in contiguous slices
+// (remaining, deadline, supply, budget, period) plus a hierarchical ready
+// bitset. Snapshotting that into PartitionState structs costs an O(P)
+// pointer chase per decision — the dominant term at P=4096+ where a decision
+// touches a handful of partitions. bind aliases the arenas directly (O(1)),
+// and the kernel hoists the loop-invariant terms of Eq. 1–2 out of the
+// fixpoint iteration:
 //
 //   - off[j]       = supply_j − now      (the stream anchor, constant per decision)
 //   - remPrefix[h] = Σ_{j<h} remaining_j (term (b), the hp remaining-budget sum)
@@ -35,26 +53,27 @@ package core
 // passHorizon would recompute, so the verdict's validity horizon falls out of
 // the recorded minimum for free.
 //
-// Exactness contract: every arithmetic step computes the same values as
-// schedFixpoint/passHorizon/Select (including the NextSupply==0 fallback and
-// the float64 lottery weights), so verdicts, candidate lists, and random
-// draws are bit-identical to the AoS reference, which deliberately keeps
-// plain division as the oracle. TestViewMatchesAoS pins that per function
-// (including per-iteration equality of the incremental sum); the
-// indexed-vs-scan digest suite pins it end-to-end, because ScanStepping runs
-// keep using the AoS path against live servers.
+// Exactness contract: both bindings give the walk and the lottery the same
+// values (including the NextSupply==0 fallback), and the kernel's verdicts,
+// iteration counts and horizons equal the reference's, so candidate lists,
+// lottery weights and random draws are bit-identical, while the reference
+// deliberately keeps plain division as the oracle. TestViewMatchesAoS pins
+// that per function (including per-iteration equality of the incremental
+// sum); the indexed-vs-scan digest suite pins it end-to-end.
 
 import (
 	"timedice/internal/bitset"
 	"timedice/internal/engine"
-	"timedice/internal/partition"
-	"timedice/internal/rng"
 	"timedice/internal/vtime"
 )
 
-// stateView is the per-decision view over the engine's hot arenas. The six
-// arena slices and the ready bitset are aliased, never copied; off, remPrefix,
-// minOff, and narr are policy-owned scratch reused across decisions.
+// stateView is the per-decision verdict source (see the file comment). Under
+// bind the six arena slices and the ready bitset alias the engine's, never
+// copied, and off, remPrefix, minOff and narr are policy-owned kernel
+// scratch reused across decisions. Under bindSnapshot, ready, remaining and
+// deadline are the view's own, rebuilt from the snapshot every decision. A
+// view keeps one binding for its whole life, so bindSnapshot never writes
+// into engine arenas.
 type stateView struct {
 	remaining []vtime.Duration
 	budget    []vtime.Duration
@@ -65,6 +84,11 @@ type stateView struct {
 	ready     *bitset.Hier
 
 	now vtime.Time
+
+	// snap is the reference binding's snapshot; ref selects its
+	// plain-division verdicts over the kernel.
+	snap []PartitionState
+	ref  bool
 
 	// Hoisted per-decision terms, valid for indices < hoistN.
 	off       []vtime.Duration // supplyAt(j) − now
@@ -77,8 +101,8 @@ type stateView struct {
 	narr []vtime.Duration
 }
 
-// bind aliases the arena view for one decision at instant now. O(1) apart
-// from one-time scratch growth.
+// bind aliases the engine's arenas for one decision at instant now: the
+// production binding. O(1) apart from one-time scratch growth.
 func (v *stateView) bind(hot engine.Hot, now vtime.Time) {
 	v.remaining = hot.Remaining
 	v.budget = hot.Budget
@@ -102,7 +126,49 @@ func (v *stateView) bind(hot engine.Hot, now vtime.Time) {
 	v.hoistN = 0
 }
 
-func (v *stateView) n() int { return len(v.remaining) }
+// bindSnapshot binds the view to states taken at instant now: the reference
+// binding. The ready set comes from the snapshot's own Runnable flags and the
+// lottery reads copies of its remaining budgets and deadlines, so nothing is
+// read from the engine's arenas or bitset; verdicts run on schedFixpoint.
+func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
+	n := len(states)
+	if v.ready == nil || v.ready.Len() != n {
+		v.ready = bitset.New(n)
+		v.remaining = make([]vtime.Duration, n)
+		v.deadline = make([]vtime.Time, n)
+	} else {
+		v.ready.Reset()
+	}
+	for i := range states {
+		s := &states[i]
+		v.remaining[i] = s.Remaining
+		v.deadline[i] = s.NextReplenish
+		if s.Runnable {
+			v.ready.Set(i)
+		}
+	}
+	v.snap, v.ref, v.now = states, true, now
+}
+
+// verdict runs Algorithm 3 for partition h under an inversion of w on the
+// binding's implementation. For a passing verdict, validFor is how far past
+// now it stays exact.
+func (v *stateView) verdict(h int, w vtime.Duration) (ok bool, validFor vtime.Duration, cost fixCost) {
+	if v.ref {
+		var cur, deadline vtime.Duration
+		ok, cur, deadline, cost = schedFixpoint(v.snap, h, v.now, w)
+		if ok {
+			validFor = passHorizon(v.snap, h, v.now, cur, deadline)
+		}
+		return ok, validFor, cost
+	}
+	v.extend(h)
+	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
+	if ok {
+		validFor = horizonOf(cur, deadline, minArr)
+	}
+	return ok, validFor, cost
+}
 
 // supplyAt mirrors PartitionState.supplyTime: the earliest future budget gain,
 // defaulting to the replenishment deadline when the supply anchor is unset.
@@ -246,169 +312,4 @@ func horizonOf(cur, deadline, minArr vtime.Duration) vtime.Duration {
 		horizon = gap
 	}
 	return horizon
-}
-
-// testVerdict is the cache-aware test front end over the view, sharing Cache
-// (and therefore verdict validity and hit accounting) with the AoS path. The
-// fixpoint's work tallies accumulate into res.
-func (v *stateView) testVerdict(h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {
-	if cache != nil {
-		if ok, hit := cache.lookup(h, v.now); hit {
-			return ok
-		}
-	}
-	res.Tests++
-	v.extend(h)
-	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
-	res.FixpointIters += cost.iters
-	res.InterferenceTerms += cost.terms
-	if cache != nil {
-		validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
-		if ok {
-			validUntil = v.now.Add(horizonOf(cur, deadline, minArr))
-		}
-		cache.store(h, ok, validUntil)
-	}
-	return ok
-}
-
-// search is candidateSearch over the view. Instead of scanning all P states
-// for the Runnable flag, it walks the set bits of the ready set — O(occupied
-// groups + runnable) — and runs the same incremental coverage of the
-// partitions between candidates.
-func (v *stateView) search(w vtime.Duration, scratch []int, cache *Cache) SearchResult {
-	res := SearchResult{Candidates: scratch[:0]}
-	examined := 0
-	first := true
-	failed := false
-	v.ready.ForEachSet(func(i int) bool {
-		if first {
-			res.Candidates = append(res.Candidates, i)
-			if examined < i {
-				examined = i
-			}
-			first = false
-			return true
-		}
-		for h := examined; h < i; h++ {
-			if !v.testVerdict(h, w, &res, cache) {
-				failed = true
-				return false
-			}
-			examined = h + 1
-		}
-		res.Candidates = append(res.Candidates, i)
-		if examined < i {
-			examined = i
-		}
-		return true
-	})
-	if failed || first {
-		return res
-	}
-	idleOK := true
-	for h := examined; h < v.n(); h++ {
-		if !v.testVerdict(h, w, &res, cache) {
-			idleOK = false
-			break
-		}
-		examined = h + 1
-	}
-	res.IdleOK = idleOK
-	return res
-}
-
-// selectFrom is Select over the view: identical option counting, weight
-// arithmetic, and random-stream consumption, reading the candidates' draining
-// budgets and deadlines straight from the arenas (which are live, so reused
-// searches need no per-candidate refresh).
-func (v *stateView) selectFrom(res SearchResult, mode SelectionMode, rnd *rng.Rand, weights []float64) int {
-	n := len(res.Candidates)
-	options := n
-	if res.IdleOK {
-		options++
-	}
-	if options == 0 {
-		panic("core: selectFrom with no options")
-	}
-	if mode == SelectUniform {
-		k := rnd.Intn(options)
-		if k == n {
-			return IdleChoice
-		}
-		return res.Candidates[k]
-	}
-	weights = weights[:0]
-	var sum float64
-	for _, i := range res.Candidates {
-		den := v.deadline[i].Sub(v.now)
-		var u float64
-		if den > 0 {
-			u = float64(v.remaining[i]) / float64(den)
-		}
-		weights = append(weights, u)
-		sum += u
-	}
-	if res.IdleOK {
-		idleW := 1 - sum
-		if idleW < 0 {
-			idleW = 0
-		}
-		weights = append(weights, idleW)
-	}
-	k := rnd.WeightedIndex(weights)
-	if k == n {
-		return IdleChoice
-	}
-	return res.Candidates[k]
-}
-
-// pickView is Pick's decision body under indexed stepping: alias the arenas,
-// reuse or rerun the search, select. The search-reuse fast path is even
-// cheaper than the AoS one — the arenas are live, so the candidates'
-// remaining/deadline values selection reads need no refresh at all.
-func (p *Policy) pickView(sys *engine.System, now vtime.Time, rnd *rng.Rand) *partition.Partition {
-	v := &p.view
-	v.bind(sys.Hot(), now)
-	var res SearchResult
-	if reuse, maxStamp := p.searchReusable(sys, now); reuse {
-		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
-		p.stats.SearchReuses++
-	} else {
-		if p.cache != nil {
-			p.cache.begin(sys.StateStamps(), v.n())
-		}
-		res = v.search(p.quantum, p.scratch, p.cache)
-		p.scratch = res.Candidates
-		if p.cache != nil {
-			p.searchInit = true
-			p.searchIdle = res.IdleOK
-			p.searchStamp = maxStamp
-			p.searchValid = p.cache.searchValid
-			p.searchLen = v.n()
-		}
-	}
-	p.stats.SchedTests += res.Tests
-	sys.Counters.FixpointIters += res.FixpointIters
-	sys.Counters.InterferenceTerms += res.InterferenceTerms
-	p.stats.CandidateSum += int64(len(res.Candidates))
-	p.lastCandidates, p.lastTests = int64(len(res.Candidates)), res.Tests
-	if res.IdleOK {
-		p.stats.IdleEligible++
-	}
-	if len(res.Candidates) == 0 {
-		return nil
-	}
-	if cap(p.weights) < v.n()+1 {
-		p.weights = make([]float64, 0, v.n()+1)
-	}
-	choice := v.selectFrom(res, p.mode, rnd, p.weights)
-	if choice == IdleChoice {
-		p.stats.IdleSelected++
-		return nil
-	}
-	if choice != res.Candidates[0] {
-		p.stats.InversionsWon++
-	}
-	return sys.Partitions[choice]
 }

@@ -41,6 +41,13 @@ func viewFromStates(states []PartitionState, now vtime.Time) *stateView {
 	return v
 }
 
+// refView binds a view to states the reference way.
+func refView(states []PartitionState, now vtime.Time) *stateView {
+	v := &stateView{}
+	v.bindSnapshot(states, now)
+	return v
+}
+
 // randomStates generates a priority-ordered system snapshot with a mix of
 // active/inactive, runnable/blocked partitions, supply anchors both set and
 // unset (the NextSupply==0 fallback), and occasional sporadic early chunks.
@@ -167,8 +174,9 @@ func TestViewMatchesAoS(t *testing.T) {
 		}
 
 		// Uncached search.
-		ares := candidateSearch(states, now, w, nil, nil)
-		vres := v.search(w, nil, nil)
+		ref := refView(states, now)
+		ares := search(ref, w, nil, nil)
+		vres := search(v, w, nil, nil)
 		compareSearch(t, trial, "uncached", ares, vres)
 
 		// Cached search: two fresh caches fed identical stamps must behave
@@ -180,8 +188,8 @@ func TestViewMatchesAoS(t *testing.T) {
 		ac, vc := &Cache{}, &Cache{}
 		ac.begin(stamps, n)
 		vc.begin(stamps, n)
-		ares = candidateSearch(states, now, w, nil, ac)
-		vres = v.search(w, nil, vc)
+		ares = search(ref, w, nil, ac)
+		vres = search(v, w, nil, vc)
 		compareSearch(t, trial, "cached", ares, vres)
 		if ac.Hits() != vc.Hits() || ac.Misses() != vc.Misses() || ac.searchValid != vc.searchValid {
 			t.Fatalf("trial %d: cache divergence: AoS %d/%d valid %v, view %d/%d valid %v",
@@ -193,10 +201,10 @@ func TestViewMatchesAoS(t *testing.T) {
 		if len(ares.Candidates) > 0 || ares.IdleOK {
 			for _, mode := range []SelectionMode{SelectWeighted, SelectUniform} {
 				seed := uint64(trial)*2 + uint64(mode)
-				got := v.selectFrom(vres, mode, rng.New(seed), nil)
+				got := lottery(v, vres, mode, rng.New(seed), nil)
 				want := Select(states, ares, now, mode, rng.New(seed), nil)
 				if got != want {
-					t.Fatalf("trial %d mode %v: selectFrom = %d, Select = %d", trial, mode, got, want)
+					t.Fatalf("trial %d mode %v: view lottery = %d, Select = %d", trial, mode, got, want)
 				}
 			}
 		}
@@ -327,13 +335,13 @@ func TestViewExtendLazy(t *testing.T) {
 	states[8].Active = true
 	states[8].NextReplenish = now.Add(2 * vtime.Millisecond)
 	v := viewFromStates(states, now)
-	res := v.search(DefaultQuantum, nil, nil)
+	res := search(v, DefaultQuantum, nil, nil)
 	if len(res.Candidates) != 2 || res.IdleOK {
 		t.Fatalf("unexpected search result: %+v", res)
 	}
 	if v.hoistN > 16 {
 		t.Fatalf("hoistN = %d after a prefix-only search; lazy extension is broken", v.hoistN)
 	}
-	aos := candidateSearch(states, now, DefaultQuantum, nil, nil)
+	aos := CandidateSearch(states, now, DefaultQuantum, nil)
 	compareSearch(t, 0, "lazy", aos, res)
 }

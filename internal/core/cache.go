@@ -42,6 +42,13 @@ import (
 // Invalidation is per-partition: a stamp on Π_j stales the cached verdicts of
 // every Π_h with h ≥ j and leaves h < j untouched, tracked with a prefix-max
 // over the engine's stamp vector.
+//
+// The cache sits behind testVerdict, the one cache-aware test front end, which
+// both bindings of a decision's stateView share (batch.go): the production
+// arenas and the reference snapshot. It is keyed by partition index and the
+// engine's stamps, never by the binding that computed a verdict, so the two
+// make the same hits and misses and store the same horizons; the
+// indexed-vs-scan differential compares the two runs' hit and miss counts.
 
 // verdictEntry is one memoized Algorithm-3 outcome.
 type verdictEntry struct {
@@ -147,92 +154,26 @@ func (c *Cache) Reset() {
 	c.misses = 0
 }
 
-// schedFixpoint runs the Algorithm-3 busy-interval iteration and returns the
-// verdict together with the fixpoint value cur and the deadline (both
-// relative to now) that passHorizon needs, plus the work tallies (iterations
-// and interference terms evaluated); wrappers account for the invocation
-// itself. This is the plain-division reference form — the decision kernel
-// (stateView.fixpoint) is pinned against it, so it must stay naive: every
-// iteration re-sums every charged stream through hardware division.
-func schedFixpoint(states []PartitionState, h int, now vtime.Time, w vtime.Duration) (ok bool, cur, deadline vtime.Duration, cost fixCost) {
-	s := &states[h]
-	var w0 vtime.Duration = w
-	if s.Active {
-		w0 += s.Remaining
-		deadline = s.NextReplenish.Sub(now)
-	} else {
-		deadline = s.NextReplenish.Add(s.Period).Sub(now)
-	}
-	for j := 0; j < h; j++ {
-		w0 += states[j].Remaining
-	}
-	if w0 > deadline {
-		return false, 0, deadline, cost
-	}
-	cur = w0
-	for {
-		cost.iters++
-		next := w0
-		for j := 0; j < h; j++ {
-			o := states[j].supplyTime().Sub(now)
-			next += streamInterference(cur, o, states[j].Period, states[j].Budget)
-		}
-		cost.terms += int64(h)
-		if !s.Active {
-			o := s.supplyTime().Sub(now)
-			next += streamInterference(cur, o, s.Period, s.Budget)
-			cost.terms++
-		}
-		if next > deadline {
-			return false, cur, deadline, cost
-		}
-		if next == cur {
-			return true, cur, deadline, cost
-		}
-		cur = next
-	}
-}
-
-// passHorizon computes how far past now a passing verdict stays exact: the
-// minimum of the deadline slack (deadline − cur) and, over every stream the
-// test charges (hp(Π_h), plus Π_h's own when inactive), the gap from the
-// busy-interval end cur to that stream's next arrival at or after cur.
-func passHorizon(states []PartitionState, h int, now vtime.Time, cur, deadline vtime.Duration) vtime.Duration {
-	horizon := deadline - cur
-	for j := 0; j <= h; j++ {
-		if j == h && states[h].Active {
-			break
-		}
-		st := &states[j]
-		o := st.supplyTime().Sub(now)
-		arr := streamNextArrival(cur, o, st.Period)
-		if gap := arr - cur; gap < horizon {
-			horizon = gap
-		}
-	}
-	return horizon
-}
-
-// testVerdict is the cache-aware front end of SchedulabilityTest used by the
-// candidate search: with a nil cache it behaves identically to
-// SchedulabilityTest; with a cache it serves valid memoized verdicts and
-// memoizes fresh ones with their validity horizon. res.Tests counts only
-// actual Algorithm-3 computations, never cache hits; the fixpoint's work
-// tallies accumulate alongside.
-func testVerdict(states []PartitionState, h int, now vtime.Time, w vtime.Duration, res *SearchResult, cache *Cache) bool {
+// testVerdict is the one cache-aware test front end, shared by both bindings
+// of a stateView: with a nil cache it runs the binding's Algorithm-3 test;
+// with a cache it serves valid memoized verdicts and memoizes fresh ones with
+// their validity horizon. res.Tests counts only actual Algorithm-3
+// computations, never cache hits; the fixpoint's work tallies accumulate
+// alongside.
+func testVerdict(v *stateView, h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {
 	if cache != nil {
-		if ok, hit := cache.lookup(h, now); hit {
+		if ok, hit := cache.lookup(h, v.now); hit {
 			return ok
 		}
 	}
 	res.Tests++
-	ok, cur, deadline, cost := schedFixpoint(states, h, now, w)
+	ok, validFor, cost := v.verdict(h, w)
 	res.FixpointIters += cost.iters
 	res.InterferenceTerms += cost.terms
 	if cache != nil {
 		validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
 		if ok {
-			validUntil = now.Add(passHorizon(states, h, now, cur, deadline))
+			validUntil = v.now.Add(validFor)
 		}
 		cache.store(h, ok, validUntil)
 	}

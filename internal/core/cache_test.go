@@ -21,6 +21,11 @@ func twoPartStates(now vtime.Time) []PartitionState {
 	}
 }
 
+// refVerdict runs the cache front end over the reference binding at now.
+func refVerdict(states []PartitionState, h int, now vtime.Time, res *SearchResult, c *Cache) bool {
+	return testVerdict(refView(states, now), h, 0, res, c)
+}
+
 // TestCachePrefixStaleness pins the per-partition invalidation rule: a stamp
 // on partition j stales the cached verdict of every h >= j and leaves every
 // h < j untouched, because the verdict for h reads only partitions 0..h.
@@ -33,7 +38,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	c.begin(stamps, 2)
 	var res SearchResult
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		refVerdict(states, h, now, &res, &c)
 	}
 	if res.Tests != 2 {
 		t.Fatalf("cold cache ran %d tests, want 2", res.Tests)
@@ -42,7 +47,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	// No new stamps: both verdicts must be served from cache.
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		refVerdict(states, h, now, &res, &c)
 	}
 	if res.Tests != 2 {
 		t.Fatalf("warm cache ran %d tests total, want still 2", res.Tests)
@@ -52,7 +57,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	stamps[1] = 2
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		refVerdict(states, h, now, &res, &c)
 	}
 	if res.Tests != 3 {
 		t.Fatalf("after stamping partition 1: %d tests total, want 3 (only h=1 recomputes)", res.Tests)
@@ -62,7 +67,7 @@ func TestCachePrefixStaleness(t *testing.T) {
 	stamps[0] = 3
 	c.begin(stamps, 2)
 	for h := 0; h < 2; h++ {
-		testVerdict(states, h, now, 0, &res, &c)
+		refVerdict(states, h, now, &res, &c)
 	}
 	if res.Tests != 5 {
 		t.Fatalf("after stamping partition 0: %d tests total, want 5 (both recompute)", res.Tests)
@@ -80,7 +85,7 @@ func TestCacheHorizonExpiry(t *testing.T) {
 
 	c.begin(stamps, 2)
 	var res SearchResult
-	ok := testVerdict(states, 1, now, 0, &res, &c)
+	ok := refVerdict(states, 1, now, &res, &c)
 	if !ok || res.Tests != 1 {
 		t.Fatalf("cold verdict: ok=%v tests=%d, want pass in 1 test", ok, res.Tests)
 	}
@@ -91,19 +96,19 @@ func TestCacheHorizonExpiry(t *testing.T) {
 
 	// One instant before the horizon: still a hit.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon-1, 0, &res, &c)
+	refVerdict(states, 1, horizon-1, &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("within horizon: %d tests total, want still 1", res.Tests)
 	}
 	// The horizon instant itself is inclusive.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon, 0, &res, &c)
+	refVerdict(states, 1, horizon, &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("at horizon: %d tests total, want still 1", res.Tests)
 	}
 	// Past it: recompute.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, horizon+1, 0, &res, &c)
+	refVerdict(states, 1, horizon+1, &res, &c)
 	if res.Tests != 2 {
 		t.Fatalf("past horizon: %d tests total, want 2", res.Tests)
 	}
@@ -123,7 +128,7 @@ func TestCacheFailForever(t *testing.T) {
 	stamps := []uint64{1, 1}
 	c.begin(stamps, 2)
 	var res SearchResult
-	if ok := testVerdict(states, 1, now, 0, &res, &c); ok {
+	if ok := refVerdict(states, 1, now, &res, &c); ok {
 		t.Fatal("verdict unexpectedly passed; fixture needs a tighter deadline")
 	}
 	if got := c.entries[1].validUntil; got != vtime.Infinity {
@@ -132,7 +137,7 @@ func TestCacheFailForever(t *testing.T) {
 
 	// Arbitrarily far in the future, same epoch: still served from cache.
 	c.begin(stamps, 2)
-	testVerdict(states, 1, now.Add(vtime.MS(1_000_000)), 0, &res, &c)
+	refVerdict(states, 1, now.Add(vtime.MS(1_000_000)), &res, &c)
 	if res.Tests != 1 {
 		t.Fatalf("far-future FAIL lookup ran %d tests total, want still 1", res.Tests)
 	}
@@ -140,7 +145,7 @@ func TestCacheFailForever(t *testing.T) {
 	// A stamp anywhere in 0..1 drops it.
 	stamps[0] = 2
 	c.begin(stamps, 2)
-	testVerdict(states, 1, now, 0, &res, &c)
+	refVerdict(states, 1, now, &res, &c)
 	if res.Tests != 2 {
 		t.Fatalf("after stamp: %d tests total, want 2", res.Tests)
 	}
@@ -161,7 +166,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	var res SearchResult
 	consult := func(h int, at vtime.Time) {
 		c.begin(stamps, 2)
-		testVerdict(states, h, at, 0, &res, &c)
+		refVerdict(states, h, at, &res, &c)
 		lookups++
 	}
 

@@ -1,23 +1,24 @@
 package core
 
-// The decision kernel's shared arithmetic. Algorithm 3's busy-interval
-// fixpoint charges, for every tracked replenishment stream, the Eq. (1)
-// interference term ⌈(cur − o)/T⌉₀ · B, and its validity horizon needs the
-// stream's first arrival at or after the converged interval end. Those two
-// formulas used to live in four places — the AoS loops in cache.go and the
-// SoA loops in batch.go — and a change to one could silently miss the
-// others. They now live here, in two forms that are pinned equal:
+// Algorithm 3's arithmetic, in the two forms that the two bindings of a
+// decision's stateView (batch.go) run. The busy-interval fixpoint charges,
+// for every tracked replenishment stream, the Eq. (1) interference term
+// ⌈(cur − o)/T⌉₀ · B, and its validity horizon needs the stream's first
+// arrival at or after the converged interval end. Both formulas live here
+// once per form, and the forms are pinned equal:
 //
 //   - the plain-division reference forms (streamInterference,
-//     streamNextArrival), used by the AoS path (schedFixpoint/passHorizon)
-//     that ScanStepping and the public SchedulabilityTest run. The reference
-//     deliberately keeps hardware division: it is the oracle the
-//     divisionless kernel is differentially pinned against, and the
-//     corrupted-reciprocal timedice_mutation mutant is caught precisely
-//     because this path does not share the reciprocal constants.
+//     streamNextArrival), composed by schedFixpoint/passHorizon. The
+//     reference binding (bindSnapshot) runs them for ScanStepping decisions
+//     and the public CandidateSearch; SchedulabilityTest runs schedFixpoint
+//     directly. The reference deliberately keeps hardware division: it is
+//     the oracle the divisionless kernel is differentially pinned against,
+//     and the corrupted-reciprocal timedice_mutation mutant is caught
+//     precisely because this path does not share the reciprocal constants.
 //   - the divisionless kernel forms (kernelInit and the incremental advance
-//     inside stateView.fixpoint), which compute the identical values through
-//     vtime.Reciprocal over the engine's constant SoA arenas.
+//     inside stateView.fixpoint), which the production binding runs and
+//     which compute the identical values through vtime.Reciprocal over the
+//     engine's constant SoA arenas.
 //
 // vtime's recip_test.go proves the two division forms agree on the entire
 // int64 domain; TestViewMatchesAoS and the indexed-vs-scan differential pin
@@ -46,6 +47,72 @@ type fixCost struct {
 // running sum against a from-scratch re-summation; production leaves it nil
 // (one predictable branch per iteration).
 var fixpointIterHook func(h int, cur, sum vtime.Duration)
+
+// schedFixpoint runs the Algorithm-3 busy-interval iteration and returns the
+// verdict together with the fixpoint value cur and the deadline (both
+// relative to now) that passHorizon needs, plus the work tallies (iterations
+// and interference terms evaluated); wrappers account for the invocation
+// itself. This is the plain-division reference form — the decision kernel
+// (stateView.fixpoint) is pinned against it, so it must stay naive: every
+// iteration re-sums every charged stream through hardware division.
+func schedFixpoint(states []PartitionState, h int, now vtime.Time, w vtime.Duration) (ok bool, cur, deadline vtime.Duration, cost fixCost) {
+	s := &states[h]
+	var w0 vtime.Duration = w
+	if s.Active {
+		w0 += s.Remaining
+		deadline = s.NextReplenish.Sub(now)
+	} else {
+		deadline = s.NextReplenish.Add(s.Period).Sub(now)
+	}
+	for j := 0; j < h; j++ {
+		w0 += states[j].Remaining
+	}
+	if w0 > deadline {
+		return false, 0, deadline, cost
+	}
+	cur = w0
+	for {
+		cost.iters++
+		next := w0
+		for j := 0; j < h; j++ {
+			o := states[j].supplyTime().Sub(now)
+			next += streamInterference(cur, o, states[j].Period, states[j].Budget)
+		}
+		cost.terms += int64(h)
+		if !s.Active {
+			o := s.supplyTime().Sub(now)
+			next += streamInterference(cur, o, s.Period, s.Budget)
+			cost.terms++
+		}
+		if next > deadline {
+			return false, cur, deadline, cost
+		}
+		if next == cur {
+			return true, cur, deadline, cost
+		}
+		cur = next
+	}
+}
+
+// passHorizon computes how far past now a passing verdict stays exact: the
+// minimum of the deadline slack (deadline − cur) and, over every stream the
+// test charges (hp(Π_h), plus Π_h's own when inactive), the gap from the
+// busy-interval end cur to that stream's next arrival at or after cur.
+func passHorizon(states []PartitionState, h int, now vtime.Time, cur, deadline vtime.Duration) vtime.Duration {
+	horizon := deadline - cur
+	for j := 0; j <= h; j++ {
+		if j == h && states[h].Active {
+			break
+		}
+		st := &states[j]
+		o := st.supplyTime().Sub(now)
+		arr := streamNextArrival(cur, o, st.Period)
+		if gap := arr - cur; gap < horizon {
+			horizon = gap
+		}
+	}
+	return horizon
+}
 
 // streamInterference is the Eq. (1) interference term of one replenishment
 // stream anchored at offset o (relative to now) with period T and budget B:

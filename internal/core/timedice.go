@@ -19,9 +19,10 @@
 // The search performs at most one schedulability test per partition per
 // decision, so a decision costs O(|Π|) tests (Fig. 9's incremental rule).
 //
-// The package exposes both a pure, allocation-light functional core operating
-// on PartitionState snapshots (unit- and property-testable in isolation) and
-// a Policy adapter satisfying engine.GlobalPolicy.
+// The package exposes both a pure functional core operating on
+// PartitionState snapshots (unit- and property-testable in isolation, and the
+// reference the production decision path is pinned against) and a Policy
+// adapter satisfying engine.GlobalPolicy.
 package core
 
 import (
@@ -85,8 +86,8 @@ func (s *PartitionState) supplyTime() vtime.Time {
 //
 // testsRun, when non-nil, is incremented once (for overhead accounting).
 //
-// The busy-interval iteration lives in schedFixpoint (cache.go), shared with
-// the verdict-caching front end testVerdict.
+// The busy-interval iteration lives in schedFixpoint (kernel.go), which the
+// reference binding of a decision's stateView also runs.
 func SchedulabilityTest(states []PartitionState, h int, now vtime.Time, w vtime.Duration, testsRun *int64) bool {
 	if testsRun != nil {
 		*testsRun++
@@ -126,66 +127,53 @@ type SearchResult struct {
 // Π_(i) implies failure for all lower-priority candidates). If every
 // partition passes, CPU idling becomes an additional candidate.
 //
-// The scratch slice, when non-nil, is reused for the candidate list to avoid
-// per-decision allocation.
+// The scratch slice, when non-nil, is reused for the candidate list. This is
+// the reference search (see stateView); Policy keeps its own views and
+// allocates nothing per decision.
 func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, scratch []int) SearchResult {
-	return candidateSearch(states, now, w, scratch, nil)
+	var ref stateView
+	ref.bindSnapshot(states, now)
+	return search(&ref, w, scratch, nil)
 }
 
-// candidateSearch is CandidateSearch with an optional verdict cache: every
+// search is the candidate walk of CandidateSearch over either binding of a
+// stateView (batch.go), with an optional verdict cache: every
 // schedulability test goes through testVerdict, which serves still-valid
-// memoized verdicts without recomputation. With a nil cache the search is the
-// uncached reference used by the differential digest pin.
-func candidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, scratch []int, cache *Cache) SearchResult {
+// memoized verdicts without recomputation. With a nil cache the search is
+// the uncached reference used by the differential digest pin.
+func search(v *stateView, w vtime.Duration, scratch []int, cache *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
-	examined := 0 // states[0:examined] have passed a schedulability test
-	first := true
-	for i := range states {
-		if !states[i].Runnable {
-			continue
-		}
-		if first {
-			// Π_(1): its execution causes no priority inversion, so it is
-			// always a candidate — but the partitions above it still need to
-			// be covered before lower candidates are examined.
-			res.Candidates = append(res.Candidates, i)
-			if examined < i {
-				examined = i
+	examined := 0 // partitions [0, examined) are covered
+	failed := false
+	v.ready.ForEachSet(func(i int) bool {
+		// Π_(1) is admitted untested: its execution causes no priority
+		// inversion. Every later candidate first covers the partitions
+		// between it and the previous one.
+		if len(res.Candidates) > 0 {
+			for ; examined < i; examined++ {
+				if !testVerdict(v, examined, w, &res, cache) {
+					failed = true
+					return false
+				}
 			}
-			first = false
-			continue
-		}
-		ok := true
-		for h := examined; h < i; h++ {
-			if !testVerdict(states, h, now, w, &res, cache) {
-				ok = false
-				break
-			}
-			examined = h + 1
-		}
-		if !ok {
-			return res
 		}
 		res.Candidates = append(res.Candidates, i)
-		if examined < i {
-			examined = i
-		}
-	}
-	if first {
-		// Nothing runnable: the CPU necessarily idles; no candidates.
+		examined = i
+		return true
+	})
+	if failed || len(res.Candidates) == 0 {
+		// A failed test ends the walk, and with nothing runnable the CPU
+		// idles without a lottery: idling is no candidate either way.
 		return res
 	}
 	// Idle candidacy: the imaginary Π_IDLE has the lowest priority, so every
 	// remaining partition must pass.
-	idleOK := true
-	for h := examined; h < len(states); h++ {
-		if !testVerdict(states, h, now, w, &res, cache) {
-			idleOK = false
-			break
+	for n := v.ready.Len(); examined < n; examined++ {
+		if !testVerdict(v, examined, w, &res, cache) {
+			return res
 		}
-		examined = h + 1
 	}
-	res.IdleOK = idleOK
+	res.IdleOK = true
 	return res
 }
 
@@ -222,6 +210,13 @@ const IdleChoice = -1
 // slice. It panics if res has neither candidates nor idle (the caller idles
 // without selection in that case).
 func Select(states []PartitionState, res SearchResult, now vtime.Time, mode SelectionMode, rnd *rng.Rand, weights []float64) int {
+	var ref stateView
+	ref.bindSnapshot(states, now)
+	return lottery(&ref, res, mode, rnd, weights)
+}
+
+// lottery is Select over either binding of a stateView.
+func lottery(v *stateView, res SearchResult, mode SelectionMode, rnd *rng.Rand, weights []float64) int {
 	n := len(res.Candidates)
 	options := n
 	if res.IdleOK {
@@ -241,10 +236,10 @@ func Select(states []PartitionState, res SearchResult, now vtime.Time, mode Sele
 	weights = weights[:0]
 	var sum float64
 	for _, i := range res.Candidates {
-		den := states[i].NextReplenish.Sub(now)
+		den := v.deadline[i].Sub(v.now)
 		var u float64
 		if den > 0 {
-			u = float64(states[i].Remaining) / float64(den)
+			u = float64(v.remaining[i]) / float64(den)
 		}
 		weights = append(weights, u)
 		sum += u
@@ -284,8 +279,9 @@ type Policy struct {
 	rnd     *rng.Rand
 
 	stats   Stats
+	view    stateView // bound to the engine's arenas under indexed stepping
+	ref     stateView // bound to states under ScanStepping
 	states  []PartitionState
-	view    stateView // batched arena view (batch.go), used under indexed stepping
 	scratch []int
 	weights []float64
 	cache   *Cache // nil when the verdict cache is disabled
@@ -294,8 +290,8 @@ type Policy struct {
 	// the last full search (searchStamp) and now is within the minimum
 	// validity horizon of every verdict that search consulted (searchValid),
 	// the candidate list in scratch and searchIdle are exactly what a fresh
-	// search would produce, so Pick skips the snapshot and search and goes
-	// straight to selection on live weights.
+	// search would produce, so Pick skips the search and goes straight to
+	// selection on live weights.
 	searchInit  bool
 	searchIdle  bool
 	searchStamp uint64
@@ -460,67 +456,49 @@ func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint6
 	return (cacheIgnoresInvalidation || m == p.searchStamp) && now <= p.searchValid, m
 }
 
-// refreshStates updates the policy's persistent snapshot in place, writing
-// only the fields that change between decisions; Budget and Period are
-// constants filled by the initial full Snapshot.
-func (p *Policy) refreshStates(sys *engine.System) {
-	parts := sys.Partitions
-	if len(p.states) != len(parts) {
-		p.states = Snapshot(sys, p.states[:0])
-		return
-	}
-	for i, part := range parts {
-		srv := part.Server
-		st := &p.states[i]
-		rem := srv.Remaining()
-		st.Remaining = rem
-		st.NextReplenish = srv.Deadline()
-		st.NextSupply = srv.NextReplenish()
-		st.Active = rem > 0
-		st.Runnable = rem > 0 && part.Local.HasReady()
-	}
-}
-
-// Pick implements engine.GlobalPolicy: one full TimeDice decision. Under
-// indexed stepping it runs the batched arena-view path (batch.go); under
-// ScanStepping it runs the AoS reference below, whose snapshot re-reads every
-// live server — the differential digest suite pins the two paths (and hence
-// the engine's arena publication discipline) to byte-identical schedules.
+// Pick implements engine.GlobalPolicy: one full TimeDice decision — reuse or
+// rerun the candidate search, then draw. Under indexed stepping the view is
+// bound to the engine's arenas and tests run on the decision kernel; under
+// ScanStepping it is bound to a fresh Snapshot of the live servers and tests
+// run on the plain-division reference (see stateView). The differential
+// digest suite pins the two bindings to byte-identical schedules and
+// identical Stats, and hence the engine's arena publication, its ready
+// bitset and the kernel to the reference.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	rnd := p.rnd
 	if rnd == nil {
 		rnd = sys.Rand
 	}
 	p.stats.Decisions++
-	if !sys.ScanStepping {
-		return p.pickView(sys, now, rnd)
+	v := &p.view
+	if sys.ScanStepping {
+		p.states = Snapshot(sys, p.states)
+		v = &p.ref
+		v.bindSnapshot(p.states, now)
+	} else {
+		v.bind(sys.Hot(), now)
 	}
+	n := len(sys.Partitions)
 
 	var res SearchResult
 	if reuse, maxStamp := p.searchReusable(sys, now); reuse {
-		// Refresh only what selection reads — the draining budget and the
-		// deadline gap of each candidate; verdicts and runnable flags are
-		// unchanged by construction.
-		for _, i := range p.scratch {
-			srv := sys.Partitions[i].Server
-			p.states[i].Remaining = srv.Remaining()
-			p.states[i].NextReplenish = srv.Deadline()
-		}
+		// Verdicts and runnable flags are unchanged by construction; the
+		// lottery reads the candidates' draining budgets from the fresh
+		// binding.
 		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
 		p.stats.SearchReuses++
 	} else {
-		p.refreshStates(sys)
 		if p.cache != nil {
-			p.cache.begin(sys.StateStamps(), len(p.states))
+			p.cache.begin(sys.StateStamps(), n)
 		}
-		res = candidateSearch(p.states, now, p.quantum, p.scratch, p.cache)
+		res = search(v, p.quantum, p.scratch, p.cache)
 		p.scratch = res.Candidates
 		if p.cache != nil {
 			p.searchInit = true
 			p.searchIdle = res.IdleOK
 			p.searchStamp = maxStamp
 			p.searchValid = p.cache.searchValid
-			p.searchLen = len(p.states)
+			p.searchLen = n
 		}
 	}
 	p.stats.SchedTests += res.Tests
@@ -534,13 +512,13 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	if len(res.Candidates) == 0 {
 		return nil
 	}
-	// Select trims weights to length zero and appends at most one entry per
+	// lottery trims weights to length zero and appends at most one entry per
 	// candidate plus the idle option; holding capacity for that here keeps
 	// the whole decision allocation-free.
-	if cap(p.weights) < len(p.states)+1 {
-		p.weights = make([]float64, 0, len(p.states)+1)
+	if cap(p.weights) < n+1 {
+		p.weights = make([]float64, 0, n+1)
 	}
-	choice := Select(p.states, res, now, p.mode, rnd, p.weights)
+	choice := lottery(v, res, p.mode, rnd, p.weights)
 	if choice == IdleChoice {
 		p.stats.IdleSelected++
 		return nil

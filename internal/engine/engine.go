@@ -177,8 +177,13 @@ type System struct {
 	// runnable partitions rather than on P. Both paths produce byte-identical
 	// event streams (pinned by the gen differential suite); the scan path
 	// exists as the differential/benchmark baseline, like UncachedTimeDice
-	// does for the verdict cache. Toggling mid-run is safe: the heap keys and
-	// the bitset are maintained in both modes.
+	// does for the verdict cache. core.Policy follows the flag with its one
+	// decision body: indexed steps read the arenas and ready bitset (Hot)
+	// through the divisionless kernel, scan steps read a Snapshot of the
+	// live servers through the plain-division reference, so the same suite
+	// also pins Hot's publication, the bitset and the kernel. Toggling
+	// mid-run is safe: the heap keys and the bitset are maintained in both
+	// modes.
 	ScanStepping bool
 
 	Counters Counters
@@ -500,9 +505,9 @@ type Hot struct {
 // and must not be mutated; values are exact at every decision point (the
 // engine republishes a partition's entries whenever delivery, execution, or
 // an idle discard can move them), which is when policies read them.
-// core.Policy's batched Algorithm-3 path aliases these slices directly, so a
-// TimeDice decision at P=16384 reads a few contiguous cache lines instead of
-// pointer-chasing every server. Like the ready set, the arenas only observe
+// core.Policy's production decision path aliases these slices directly, so
+// a TimeDice decision at P=16384 reads a few contiguous cache lines instead
+// of pointer-chasing every server. Like the ready set, the arenas only observe
 // engine-driven mutation: tests that poke servers directly must use
 // ScanStepping, whose reference paths re-read live state.
 func (s *System) Hot() Hot {

@@ -89,12 +89,15 @@ func comparableCounters(c engine.Counters) engine.Counters {
 // stepping path: over the generated corpus (all policies this time — the
 // event queue is policy-independent), the default indexed stepping and the
 // reference O(P) scan must produce byte-identical event streams, identical
-// oracle verdicts, and identical deterministic engine counters (modulo the
-// deliberately path-dependent ones, see comparableCounters). Any divergence
-// in delivery order, idle notification, or horizon selection flips at least
-// one event and shows up as a digest mismatch; any drift in the decision
-// kernel's iteration replay shows up as a FixpointIters mismatch even when
-// the schedule happens to agree.
+// oracle verdicts, identical deterministic engine counters (modulo the
+// deliberately path-dependent ones, see comparableCounters), and an
+// identical core.Stats, field for field. Any divergence in delivery order,
+// idle notification, or horizon selection flips at least one event and shows
+// up as a digest mismatch; any drift in the decision kernel's iteration
+// replay shows up as a FixpointIters mismatch, and any drift in Pick's
+// bookkeeping (tests, reuses, candidates, idle and inversion tallies, cache
+// hits and misses) as a core.Stats mismatch, even when the schedule happens
+// to agree.
 func TestIndexedScanDigestsMatch(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -129,9 +132,8 @@ func TestIndexedScanDigestsMatch(t *testing.T) {
 		if ic, sc2 := comparableCounters(ist.Counters), comparableCounters(sst.Counters); ic != sc2 {
 			t.Errorf("scenario %d: counter divergence across stepping paths:\nindexed: %+v\nscan:    %+v", i, ic, sc2)
 		}
-		if ist.CacheHits != sst.CacheHits || ist.CacheMisses != sst.CacheMisses {
-			t.Errorf("scenario %d: verdict-cache divergence: indexed %d/%d, scan %d/%d",
-				i, ist.CacheHits, ist.CacheMisses, sst.CacheHits, sst.CacheMisses)
+		if ist.Policy != sst.Policy {
+			t.Errorf("scenario %d: policy-stats divergence across stepping paths:\nindexed: %+v\nscan:    %+v", i, ist.Policy, sst.Policy)
 		}
 		return struct{}{}, nil
 	})

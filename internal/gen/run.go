@@ -20,11 +20,12 @@ func Run(sc Scenario) (*check.Suite, error) {
 }
 
 // RunStats carries a recorded run's aggregates: the engine's cheap counters
-// (for post-mortem bundles) and the TimeDice verdict-cache tallies (for live
-// exposition). CacheHits/CacheMisses are zero under non-caching policies.
+// (for post-mortem bundles) and the TimeDice policy's counters, verdict-cache
+// tallies included (for live exposition). Policy is zero under non-TimeDice
+// policies.
 type RunStats struct {
-	Counters               engine.Counters
-	CacheHits, CacheMisses int64
+	Counters engine.Counters
+	Policy   core.Stats
 }
 
 // RunRecorded is Run with an additional telemetry sink — canonically an
@@ -37,30 +38,29 @@ func RunRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, err
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	st := RunStats{Counters: sys.Counters}
-	if cp, ok := sys.Policy.(interface{ Stats() core.Stats }); ok {
-		cs := cp.Stats()
-		st.CacheHits, st.CacheMisses = cs.CacheHits, cs.CacheMisses
-	}
-	return suite, st, nil
+	return suite, runStats(sys), nil
 }
 
 // RunScanRecorded is RunScan with the run's aggregate statistics returned,
 // the scan-side twin of RunRecorded. The differential suite uses the pair to
-// pin the engine's deterministic counters equal across stepping paths (except
-// the two that are path-dependent by design, ArenaBytesTouched and
-// InterferenceTerms).
+// pin the policy's Stats and the engine's deterministic counters equal across
+// stepping paths (except the two counters that are path-dependent by design,
+// ArenaBytesTouched and InterferenceTerms).
 func RunScanRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
 	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra, scanStepping)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
+	return suite, runStats(sys), nil
+}
+
+// runStats gathers a finished run's RunStats.
+func runStats(sys *engine.System) RunStats {
 	st := RunStats{Counters: sys.Counters}
 	if cp, ok := sys.Policy.(interface{ Stats() core.Stats }); ok {
-		cs := cp.Stats()
-		st.CacheHits, st.CacheMisses = cs.CacheHits, cs.CacheMisses
+		st.Policy = cp.Stats()
 	}
-	return suite, st, nil
+	return st
 }
 
 // RunUncached is Run with the TimeDice schedulability-verdict cache disabled.
