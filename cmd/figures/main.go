@@ -45,6 +45,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *windows <= 0 {
+		return fmt.Errorf("-windows %d: must be positive", *windows)
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}

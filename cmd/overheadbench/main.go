@@ -37,6 +37,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *secs <= 0 {
+		return fmt.Errorf("-secs %d: must be positive", *secs)
+	}
 	ledger, srv, err := obsFlags.Start("overheadbench", fs, nil)
 	if err != nil {
 		return err

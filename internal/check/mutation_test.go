@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"timedice/internal/check"
+	"timedice/internal/core"
 	"timedice/internal/gen"
 	"timedice/internal/rng"
 	"timedice/internal/server"
+	"timedice/internal/vtime"
 )
 
 // TestMutationOraclesFire is the end-to-end sensitivity check of the oracle
@@ -24,8 +26,14 @@ import (
 //	go test -tags timedice_mutation ./internal/check -run TestMutationOraclesFire
 //
 // (The rest of the tree is not expected to pass under the mutation tag; CI
-// selects this test alone.)
+// selects this test alone.) The decision-path mutants are switched off, so
+// every violation is the server mutant's; the snapshot mutant acts only
+// inside engine.Snapshot, which these runs never call.
 func TestMutationOraclesFire(t *testing.T) {
+	defer core.SetCacheMutant(core.SetCacheMutant(false))
+	defer core.SetFastPathMutant(core.SetFastPathMutant(false))
+	defer vtime.SetRecipMutant(vtime.SetRecipMutant(false))
+	defer server.SetReplenishMutant(server.SetReplenishMutant(true))
 	r := rng.New(0xdead)
 	scenarios, detected := 0, 0
 	sawReplenish := false

@@ -13,11 +13,12 @@ package core
 //     set rebuilt from the snapshot's own Runnable flags and verdicts from
 //     the plain-division schedFixpoint/passHorizon (kernel.go).
 //
-// The public CandidateSearch, Select and SchedulabilityTest, ScanStepping
-// decisions (which snapshot the live servers) and the unit tests use the
-// reference, so the indexed-vs-scan differential checks the engine's arena
-// publication, its ready-bitset maintenance and the kernel against it. The
-// binding is data, not an interface: an interface or a generic type
+// Policy.Pick always uses bind. The public CandidateSearch, Select and
+// SchedulabilityTest use the reference, and so do the unit tests and the
+// test-only reference policy of internal/gen, which snapshots the live
+// servers every decision; its differential checks the engine's arena
+// publication, its ready-bitset maintenance, the verdict cache and the
+// kernel against the reference. The binding is data, not an interface: an interface or a generic type
 // parameter sends every candidate's lottery read and every computed verdict
 // through an indirect call, which measurably slows the decision-dominated
 // dense-P1024 benchmark (EXPERIMENTS.md); here the only fork is one
@@ -59,7 +60,7 @@ package core
 // lottery weights and random draws are bit-identical, while the reference
 // deliberately keeps plain division as the oracle. TestViewMatchesAoS pins
 // that per function (including per-iteration equality of the incremental
-// sum); the indexed-vs-scan digest suite pins it end-to-end.
+// sum); the reference-policy digest suite pins it end-to-end.
 
 import (
 	"timedice/internal/bitset"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"timedice/internal/bitset"
@@ -214,15 +215,22 @@ func TestViewMatchesAoS(t *testing.T) {
 	}
 }
 
-// TestFixpointFastPath pins the fast path's boundaries against the reference
-// (schedFixpoint and passHorizon): the run is settled without the kernel
-// exactly when the opening interval w0 reaches no tracked stream's first
-// arrival, and the settled run carries the reference's verdict, interval,
-// iteration and term counts, and validity horizon.
-func TestFixpointFastPath(t *testing.T) {
+// fastPathCase is one fast-path boundary fixture: level h of states at
+// fastPathNow, and whether the fast path must settle it.
+type fastPathCase struct {
+	name   string
+	states []PartitionState
+	h      int
+	fast   bool
+}
+
+const fastPathNow = vtime.Time(17 * vtime.Millisecond)
+
+// fastPathCases are the fixtures of TestFixpointFastPath, on both sides of
+// every boundary of the fast path's condition.
+func fastPathCases() []fastPathCase {
 	const ms = vtime.Millisecond
-	now := vtime.Time(17 * ms)
-	w := DefaultQuantum
+	now := fastPathNow
 	// part builds one partition with a 2 ms budget every 20 ms, its deadline
 	// dl past now, and its supply anchor supply past now (negative: unset,
 	// falling back to the deadline).
@@ -240,12 +248,7 @@ func TestFixpointFastPath(t *testing.T) {
 		}
 		return st
 	}
-	cases := []struct {
-		name   string
-		states []PartitionState
-		h      int
-		fast   bool
-	}{
+	return []fastPathCase{
 		// h = 1 active: w0 = w + 1 ms + 1 ms = 3 ms.
 		{"w0 equals minOff", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 1, true},
 		{"w0 one past minOff", []PartitionState{part(ms, 10*ms, 3*ms-1), part(ms, 10*ms, -1)}, 1, false},
@@ -257,29 +260,50 @@ func TestFixpointFastPath(t *testing.T) {
 		// h = 0 active tracks no stream at all.
 		{"h=0 active", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 0, true},
 	}
-	for _, tc := range cases {
-		v := viewFromStates(tc.states, now)
-		v.extend(len(tc.states) - 1)
-		aok, acur, adl, acost := schedFixpoint(tc.states, tc.h, now, w)
-		vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, tc.h, w)
-		if fast != tc.fast {
-			t.Errorf("%s: fast path taken = %v, want %v", tc.name, fast, tc.fast)
-		}
-		if !aok || !vok {
-			t.Fatalf("%s: fixture must pass (reference %v, view %v)", tc.name, aok, vok)
-		}
-		if acur != vcur || adl != vdl || acost.iters != vcost.iters {
-			t.Errorf("%s: reference (cur %v, deadline %v, %d iterations) vs view (cur %v, deadline %v, %d iterations)",
-				tc.name, acur, adl, acost.iters, vcur, vdl, vcost.iters)
-		}
-		if fast && vcost.terms != acost.terms {
-			t.Errorf("%s: fast path charged %d terms, reference %d", tc.name, vcost.terms, acost.terms)
-		}
-		if ah, vh := passHorizon(tc.states, tc.h, now, acur, adl), horizonOf(vcur, vdl, vmin); ah != vh {
-			t.Errorf("%s: passHorizon %v vs view horizon %v", tc.name, ah, vh)
-		}
-		if tc.h == 0 && vmin != vtime.Forever {
-			t.Errorf("%s: minArr = %v with no tracked stream, want Forever", tc.name, vmin)
+}
+
+// fastPathMismatches runs one fixture through the view fixpoint and the
+// reference (schedFixpoint and passHorizon) and describes every way the two
+// differ, or the fast path's branch differs from the fixture's; nil when the
+// fixture holds.
+func fastPathMismatches(tc fastPathCase) []string {
+	now, w := fastPathNow, DefaultQuantum
+	v := viewFromStates(tc.states, now)
+	v.extend(len(tc.states) - 1)
+	aok, acur, adl, acost := schedFixpoint(tc.states, tc.h, now, w)
+	vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, tc.h, w)
+	var out []string
+	if fast != tc.fast {
+		out = append(out, fmt.Sprintf("fast path taken = %v, want %v", fast, tc.fast))
+	}
+	if !aok || !vok {
+		return append(out, fmt.Sprintf("fixture must pass (reference %v, view %v)", aok, vok))
+	}
+	if acur != vcur || adl != vdl || acost.iters != vcost.iters {
+		out = append(out, fmt.Sprintf("reference (cur %v, deadline %v, %d iterations) vs view (cur %v, deadline %v, %d iterations)",
+			acur, adl, acost.iters, vcur, vdl, vcost.iters))
+	}
+	if fast && vcost.terms != acost.terms {
+		out = append(out, fmt.Sprintf("fast path charged %d terms, reference %d", vcost.terms, acost.terms))
+	}
+	if ah, vh := passHorizon(tc.states, tc.h, now, acur, adl), horizonOf(vcur, vdl, vmin); ah != vh {
+		out = append(out, fmt.Sprintf("passHorizon %v vs view horizon %v", ah, vh))
+	}
+	if tc.h == 0 && vmin != vtime.Forever {
+		out = append(out, fmt.Sprintf("minArr = %v with no tracked stream, want Forever", vmin))
+	}
+	return out
+}
+
+// TestFixpointFastPath pins the fast path's boundaries against the reference
+// (schedFixpoint and passHorizon): the run is settled without the kernel
+// exactly when the opening interval w0 reaches no tracked stream's first
+// arrival, and the settled run carries the reference's verdict, interval,
+// iteration and term counts, and validity horizon.
+func TestFixpointFastPath(t *testing.T) {
+	for _, tc := range fastPathCases() {
+		for _, msg := range fastPathMismatches(tc) {
+			t.Errorf("%s: %s", tc.name, msg)
 		}
 	}
 }

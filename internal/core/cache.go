@@ -10,8 +10,10 @@ import (
 // time, so Pick can reuse it instead of re-running the busy-interval fixpoint,
 // provided nothing discontinuous happened to the partitions it reads.
 //
-// Soundness (and exactness — cached and uncached runs must produce
-// byte-identical schedules, pinned differentially against the simfuzz corpus):
+// Soundness (and exactness — a cached run must produce the byte-identical
+// schedule of an uncached one, pinned differentially against the simfuzz
+// corpus by comparing Policy with a test-only reference policy that runs the
+// uncached CandidateSearch on every decision):
 //
 // The verdict for Π_h reads only partitions 0..h: budgets B_j and periods T_j
 // (constants), remaining budgets B_j(t), replenishment-stream anchors
@@ -44,11 +46,12 @@ import (
 // over the engine's stamp vector.
 //
 // The cache sits behind testVerdict, the one cache-aware test front end, which
-// both bindings of a decision's stateView share (batch.go): the production
-// arenas and the reference snapshot. It is keyed by partition index and the
-// engine's stamps, never by the binding that computed a verdict, so the two
-// make the same hits and misses and store the same horizons; the
-// indexed-vs-scan differential compares the two runs' hit and miss counts.
+// both bindings of a decision's stateView share (batch.go). Policy owns one
+// Cache for its whole life and always consults it; the public CandidateSearch
+// passes none. The cache is keyed by partition index and the engine's stamps,
+// never by the binding that computed a verdict, so TestViewMatchesAoS can
+// require two caches fed the same stamps to make the same hits and misses
+// under either binding.
 
 // verdictEntry is one memoized Algorithm-3 outcome.
 type verdictEntry struct {
@@ -155,9 +158,9 @@ func (c *Cache) Reset() {
 }
 
 // testVerdict is the one cache-aware test front end, shared by both bindings
-// of a stateView: with a nil cache it runs the binding's Algorithm-3 test;
-// with a cache it serves valid memoized verdicts and memoizes fresh ones with
-// their validity horizon. res.Tests counts only actual Algorithm-3
+// of a stateView: with a nil cache (CandidateSearch) it runs the binding's
+// Algorithm-3 test; with a cache (Policy) it serves valid memoized verdicts
+// and memoizes fresh ones with their validity horizon. res.Tests counts only actual Algorithm-3
 // computations, never cache hits; the fixpoint's work tallies accumulate
 // alongside.
 func testVerdict(v *stateView, h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {

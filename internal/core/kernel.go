@@ -9,9 +9,9 @@ package core
 //
 //   - the plain-division reference forms (streamInterference,
 //     streamNextArrival), composed by schedFixpoint/passHorizon. The
-//     reference binding (bindSnapshot) runs them for ScanStepping decisions
-//     and the public CandidateSearch; SchedulabilityTest runs schedFixpoint
-//     directly. The reference deliberately keeps hardware division: it is
+//     reference binding (bindSnapshot) runs them for the public
+//     CandidateSearch, which the test-only reference policy calls on every
+//     decision; SchedulabilityTest runs schedFixpoint directly. The reference deliberately keeps hardware division: it is
 //     the oracle the divisionless kernel is differentially pinned against,
 //     and the corrupted-reciprocal timedice_mutation mutant is caught
 //     precisely because this path does not share the reciprocal constants.
@@ -21,7 +21,7 @@ package core
 //     engine's constant SoA arenas.
 //
 // vtime's recip_test.go proves the two division forms agree on the entire
-// int64 domain; TestViewMatchesAoS and the indexed-vs-scan differential pin
+// int64 domain; TestViewMatchesAoS and the reference-policy differential pin
 // the composed loops.
 
 import "timedice/internal/vtime"

@@ -7,8 +7,8 @@ package core
 // discontinuous change (release, completion, depletion, replenishment,
 // sporadic chunk) recomputes the affected verdicts. Building with
 // -tags timedice_mutation makes lookup skip the stamp comparison (see
-// mutation_on.go), an injected staleness bug that the cached-vs-uncached
-// differential digest test must detect end-to-end.
+// mutation_on.go), an injected staleness bug that the differential against
+// the uncached reference policy must detect end-to-end.
 const cacheIgnoresInvalidation = false
 
 // fastPathDropsOwnStream is the mutation-testing hook for the fixpoint fast
@@ -16,6 +16,6 @@ const cacheIgnoresInvalidation = false
 // stream, including an inactive partition's own replenishment stream. Under
 // -tags timedice_mutation the prefix minimum is read one index short for an
 // inactive partition (see mutation_on.go), so its own stream is ignored and
-// the fast path can settle a run whose interference sum is not zero. The
-// indexed-vs-scan differential digest test must detect it.
+// the fast path can settle a run whose interference sum is not zero.
+// TestFixpointFastPath's fixtures must detect it.
 const fastPathDropsOwnStream = false

@@ -139,8 +139,8 @@ func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 // search is the candidate walk of CandidateSearch over either binding of a
 // stateView (batch.go), with an optional verdict cache: every
 // schedulability test goes through testVerdict, which serves still-valid
-// memoized verdicts without recomputation. With a nil cache the search is
-// the uncached reference used by the differential digest pin.
+// memoized verdicts without recomputation. Policy always passes its cache;
+// CandidateSearch passes nil, which makes it the uncached reference.
 func search(v *stateView, w vtime.Duration, scratch []int, cache *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
 	examined := 0 // partitions [0, examined) are covered
@@ -279,12 +279,10 @@ type Policy struct {
 	rnd     *rng.Rand
 
 	stats   Stats
-	view    stateView // bound to the engine's arenas under indexed stepping
-	ref     stateView // bound to states under ScanStepping
-	states  []PartitionState
+	view    stateView // bound to the engine's arenas every decision
+	cache   Cache
 	scratch []int
 	weights []float64
-	cache   *Cache // nil when the verdict cache is disabled
 
 	// Decision-level search reuse: while no partition has been stamped since
 	// the last full search (searchStamp) and now is within the minimum
@@ -327,25 +325,9 @@ func WithRand(r *rng.Rand) Option {
 	return func(p *Policy) { p.rnd = r }
 }
 
-// WithVerdictCache enables or disables the incremental verdict cache
-// (enabled by default). Disabling it recomputes every schedulability test
-// from scratch — the reference behaviour the differential digest pin
-// compares against; the schedules are identical either way.
-func WithVerdictCache(on bool) Option {
-	return func(p *Policy) {
-		if on {
-			if p.cache == nil {
-				p.cache = &Cache{}
-			}
-		} else {
-			p.cache = nil
-		}
-	}
-}
-
 // NewPolicy builds a TimeDice policy (TimeDiceW unless configured otherwise).
 func NewPolicy(opts ...Option) *Policy {
-	p := &Policy{quantum: DefaultQuantum, mode: SelectWeighted, cache: &Cache{}}
+	p := &Policy{quantum: DefaultQuantum, mode: SelectWeighted}
 	for _, o := range opts {
 		o(p)
 	}
@@ -366,10 +348,8 @@ func (p *Policy) Quantum() vtime.Duration { return p.quantum }
 // Stats returns the accumulated counters.
 func (p *Policy) Stats() Stats {
 	st := p.stats
-	if p.cache != nil {
-		st.CacheHits = p.cache.Hits()
-		st.CacheMisses = p.cache.Misses()
-	}
+	st.CacheHits = p.cache.Hits()
+	st.CacheMisses = p.cache.Misses()
 	return st
 }
 
@@ -382,10 +362,8 @@ func (p *Policy) DecisionDetail() (candidates, tests int64) {
 // ResetStats zeroes the counters.
 func (p *Policy) ResetStats() {
 	p.stats = Stats{}
-	if p.cache != nil {
-		p.cache.hits = 0
-		p.cache.misses = 0
-	}
+	p.cache.hits = 0
+	p.cache.misses = 0
 }
 
 // Reset restores the policy to its initial state — counters zeroed, every
@@ -401,22 +379,18 @@ func (p *Policy) Reset() {
 	p.searchStamp = 0
 	p.searchValid = 0
 	p.searchLen = 0
-	if p.cache != nil {
-		p.cache.Reset()
-	}
+	p.cache.Reset()
 }
 
 // ForkPolicy implements engine.PolicyForker: an independent policy with the
-// same configuration (quantum, selection mode, cache enablement) and fresh
-// decision state, plus a cloned position of the private random stream when
-// WithRand gave the policy one. Starting the fork with an empty verdict cache
-// and no reusable search is digest-exact — both are pinned equivalent to the
-// uncached/unreused paths — so a fork schedules identically to its parent.
+// same configuration (quantum, selection mode) and fresh decision state, plus
+// a cloned position of the private random stream when WithRand gave the
+// policy one. Starting the fork with an empty verdict cache and no reusable
+// search is digest-exact — the reference-policy differential pins both
+// equivalent to a from-scratch search — so a fork schedules identically to
+// its parent.
 func (p *Policy) ForkPolicy() engine.GlobalPolicy {
 	np := &Policy{quantum: p.quantum, mode: p.mode}
-	if p.cache != nil {
-		np.cache = &Cache{}
-	}
 	if p.rnd != nil {
 		np.rnd = p.rnd.Clone()
 	}
@@ -424,7 +398,9 @@ func (p *Policy) ForkPolicy() engine.GlobalPolicy {
 }
 
 // Snapshot fills states (reusing its backing array) with the current view of
-// the system's partitions in priority order.
+// the system's partitions in priority order, read from the live servers and
+// local schedulers rather than the engine's arenas — the input of the
+// reference search (CandidateSearch) that tests pin Policy against.
 func Snapshot(sys *engine.System, states []PartitionState) []PartitionState {
 	states = states[:0]
 	for _, part := range sys.Partitions {
@@ -444,26 +420,27 @@ func Snapshot(sys *engine.System, states []PartitionState) []PartitionState {
 
 // searchReusable reports whether the previous decision's candidate search is
 // still exact at now, and returns the current maximum state stamp either way.
-// Under the timedice_mutation tag the stamp comparison is skipped, mirroring
-// the entry-level mutation (see mutation_on.go).
+// With the timedice_mutation cache mutant on, the stamp comparison is
+// skipped, mirroring the entry-level mutation (see mutation_on.go).
 func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint64) {
 	// Epoch is by construction the maximum of the per-partition stamps, so
 	// the staleness check is O(1) instead of an O(P) scan.
 	m := sys.Epoch()
-	if p.cache == nil || !p.searchInit || p.searchLen != len(sys.Partitions) {
+	if !p.searchInit || p.searchLen != len(sys.Partitions) {
 		return false, m
 	}
 	return (cacheIgnoresInvalidation || m == p.searchStamp) && now <= p.searchValid, m
 }
 
 // Pick implements engine.GlobalPolicy: one full TimeDice decision — reuse or
-// rerun the candidate search, then draw. Under indexed stepping the view is
-// bound to the engine's arenas and tests run on the decision kernel; under
-// ScanStepping it is bound to a fresh Snapshot of the live servers and tests
-// run on the plain-division reference (see stateView). The differential
-// digest suite pins the two bindings to byte-identical schedules and
-// identical Stats, and hence the engine's arena publication, its ready
-// bitset and the kernel to the reference.
+// rerun the candidate search, then draw. The view is bound to the engine's
+// arenas and ready bitset (System.Hot), tests go through the verdict cache
+// to the decision kernel, and the lottery reads the same arenas. The
+// reference-policy differential in internal/gen pins the schedule and the
+// decision tallies to a policy that snapshots the live servers and runs the
+// uncached plain-division CandidateSearch and Select on every decision, and
+// hence the engine's arena publication, its ready bitset, the cache, search
+// reuse and the kernel to the reference.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	rnd := p.rnd
 	if rnd == nil {
@@ -471,13 +448,7 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	}
 	p.stats.Decisions++
 	v := &p.view
-	if sys.ScanStepping {
-		p.states = Snapshot(sys, p.states)
-		v = &p.ref
-		v.bindSnapshot(p.states, now)
-	} else {
-		v.bind(sys.Hot(), now)
-	}
+	v.bind(sys.Hot(), now)
 	n := len(sys.Partitions)
 
 	var res SearchResult
@@ -488,18 +459,14 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
 		p.stats.SearchReuses++
 	} else {
-		if p.cache != nil {
-			p.cache.begin(sys.StateStamps(), n)
-		}
-		res = search(v, p.quantum, p.scratch, p.cache)
+		p.cache.begin(sys.StateStamps(), n)
+		res = search(v, p.quantum, p.scratch, &p.cache)
 		p.scratch = res.Candidates
-		if p.cache != nil {
-			p.searchInit = true
-			p.searchIdle = res.IdleOK
-			p.searchStamp = maxStamp
-			p.searchValid = p.cache.searchValid
-			p.searchLen = n
-		}
+		p.searchInit = true
+		p.searchIdle = res.IdleOK
+		p.searchStamp = maxStamp
+		p.searchValid = p.cache.searchValid
+		p.searchLen = n
 	}
 	p.stats.SchedTests += res.Tests
 	sys.Counters.FixpointIters += res.FixpointIters

@@ -125,7 +125,7 @@ func buildSparse(tb testing.TB, n int, scan bool) *engine.System {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys.ScanStepping = scan
+	sys.SetScanStepping(scan)
 	return sys
 }
 
@@ -133,8 +133,8 @@ func buildSparse(tb testing.TB, n int, scan bool) *engine.System {
 // workload: one op advances the warmed system by one simulated millisecond.
 // The amount of schedulable work is constant across P, so the indexed
 // variant should stay near-flat while the scan variant grows linearly —
-// the gap (≥10× at P=4096, CI-gated) is the tentpole speedup
-// BENCH_scale.json records.
+// the gap (≥10× at P=4096, CI-gated) is the partition-axis speedup
+// EXPERIMENTS.md records.
 //
 // Besides ns/op, each run reports B/qpart-step: the engine's deterministic
 // cache-traffic proxy (Counters.ArenaBytesTouched) per step per quiescent

@@ -66,7 +66,7 @@ func tieRun(t *testing.T, spec model.SystemSpec, kind policies.Kind, seed uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.ScanStepping = scan
+	sys.SetScanStepping(scan)
 	rec := telemetry.NewRecorder()
 	sys.AttachTelemetry(rec)
 	sys.Run(vtime.Time(dur))
@@ -125,7 +125,7 @@ func TestTieBreakOrderPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.ScanStepping = scan
+		sys.SetScanStepping(scan)
 		var segs []engine.Segment
 		sys.TraceFn = func(s engine.Segment) { segs = append(segs, s) }
 		sys.Run(vtime.Time(vtime.MS(16)))

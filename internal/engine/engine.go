@@ -129,18 +129,16 @@ type Counters struct {
 	// the Algorithm-3 kernel, maintained by the TimeDice policy (zero under
 	// non-TimeDice policies): busy-interval fixpoint iterations run, and
 	// interference terms actually evaluated (one CeilDiv-and-accumulate
-	// each). FixpointIters is path-independent — the divisionless kernel
-	// replays the reference iteration sequence exactly, and the
-	// indexed-vs-scan differential pins the counter equal across paths.
-	// InterferenceTerms is deliberately path-dependent: the scan/AoS
-	// reference re-sums every charged stream each iteration while the
-	// incremental kernel advances only the streams whose next arrival was
-	// crossed, so the scan-vs-indexed gap in /metrics is the live view of
-	// the kernel's algorithmic savings (the same design as
-	// ArenaBytesTouched). Both depend on verdict-cache warmth (a cache hit
-	// skips the fixpoint entirely), so like the wall-clock measurements they
-	// are excluded from the snapshot/fork digest contract and start at zero
-	// after Restore/Fork.
+	// each). The policy runs the same kernel under both stepping modes, so
+	// the indexed-vs-scan differential pins both counters equal. Against
+	// the plain-division reference, FixpointIters is path-independent (the
+	// divisionless kernel replays the reference iteration sequence exactly)
+	// while InterferenceTerms is not: the reference re-sums every charged
+	// stream each iteration and the incremental kernel advances only the
+	// streams whose next arrival was crossed. Both depend on verdict-cache
+	// warmth (a cache hit skips the fixpoint entirely), so like the
+	// wall-clock measurements they are excluded from the snapshot/fork
+	// digest contract and start at zero after Restore/Fork.
 	FixpointIters     int64
 	InterferenceTerms int64
 }
@@ -169,24 +167,22 @@ type System struct {
 	// MeasureLatency streams the wall-clock latency of every Pick call into
 	// the Counters.PolicyLatency histogram (Table IV). Off by default.
 	MeasureLatency bool
-	// ScanStepping selects the reference O(P) stepping implementation: full
-	// partition scans for event delivery, polling-idle notification, and the
-	// horizon min-reduce, exactly as the engine worked before the indexed
-	// stepping path. The default (false) uses the index-min heap and the
-	// runnable bitset, whose per-step cost depends on the number of due and
-	// runnable partitions rather than on P. Both paths produce byte-identical
-	// event streams (pinned by the gen differential suite); the scan path
-	// exists as the differential/benchmark baseline, like UncachedTimeDice
-	// does for the verdict cache. core.Policy follows the flag with its one
-	// decision body: indexed steps read the arenas and ready bitset (Hot)
-	// through the divisionless kernel, scan steps read a Snapshot of the
-	// live servers through the plain-division reference, so the same suite
-	// also pins Hot's publication, the bitset and the kernel. Toggling
-	// mid-run is safe: the heap keys and the bitset are maintained in both
-	// modes.
-	ScanStepping bool
 
 	Counters Counters
+
+	// scanStepping selects the reference O(P) stepping implementation: full
+	// partition scans for event delivery, polling-idle notification, the
+	// horizon min-reduce, Runnable/FirstRunnable and inversion detection,
+	// re-reading live partition state exactly as the engine worked before
+	// the indexed stepping path. Production always leaves it false and uses
+	// the index-min heap and the runnable bitset, whose per-step cost depends
+	// on the number of due and runnable partitions rather than on P. Only the
+	// package's tests set it (export_test.go): the indexed-vs-scan
+	// differential and golden tests pin the two paths to byte-identical event
+	// streams, and the scaling benchmark times one against the other.
+	// Policies read Hot in both modes. Toggling mid-run is safe: the heap
+	// keys, the bitset and the arenas are maintained in both modes.
+	scanStepping bool
 
 	now     vtime.Time
 	running int // index of last picked partition, or -1
@@ -229,9 +225,10 @@ type System struct {
 	// pointer-chasing P server/scheduler structs. core.Policy's batched
 	// Algorithm-3 path reads them through Hot() — the same exactness contract
 	// as nextEv applies (any engine-side mutation of a quantity mirrored here
-	// must go through publishHot), and TestIndexedScanDigestsMatch pins it:
-	// the scan reference path re-reads live servers, so a stale arena entry
-	// flips a decision and shows up as a digest mismatch.
+	// must go through publishHot), and internal/gen's
+	// TestReferenceDigestsMatch pins it: its reference policy re-reads the
+	// live servers, so a stale arena entry flips a decision and shows up as
+	// a digest mismatch.
 	hotRemaining []vtime.Duration
 	hotDeadline  []vtime.Time
 	hotSupply    []vtime.Time
@@ -504,12 +501,13 @@ type Hot struct {
 // Hot returns the arena view. The slices and bitset are owned by the System
 // and must not be mutated; values are exact at every decision point (the
 // engine republishes a partition's entries whenever delivery, execution, or
-// an idle discard can move them), which is when policies read them.
-// core.Policy's production decision path aliases these slices directly, so
-// a TimeDice decision at P=16384 reads a few contiguous cache lines instead
-// of pointer-chasing every server. Like the ready set, the arenas only observe
-// engine-driven mutation: tests that poke servers directly must use
-// ScanStepping, whose reference paths re-read live state.
+// an idle discard can move them), which is when policies read them, under
+// either stepping mode. core.Policy's decision path aliases these slices
+// directly, so a TimeDice decision at P=16384 reads a few contiguous cache
+// lines instead of pointer-chasing every server. Like the ready set, the
+// arenas only observe engine-driven mutation: a test that pokes servers
+// directly must read them back from the servers (core.Snapshot) or through
+// the engine's test-only scan stepping, whose paths re-read live state.
 func (s *System) Hot() Hot {
 	return Hot{
 		Remaining: s.hotRemaining,
@@ -537,7 +535,7 @@ func (s *System) PartitionTime(i int) vtime.Duration { return s.perPart[i] }
 // only until the next Runnable call and must not be retained or mutated.
 func (s *System) Runnable() []*partition.Partition {
 	out := s.runnableBuf[:0]
-	if s.ScanStepping {
+	if s.scanStepping {
 		// Reference implementation: the linear scan the bitset must agree
 		// with (pinned by the differential suite).
 		for _, p := range s.Partitions {
@@ -557,12 +555,12 @@ func (s *System) Runnable() []*partition.Partition {
 
 // FirstRunnable returns the index of the highest-priority runnable partition,
 // or -1 when nothing is runnable. In indexed mode this is a summary-guided
-// first-set-bit probe (O(occupied groups), not O(P)); in ScanStepping mode it
+// first-set-bit probe (O(occupied groups), not O(P)); in scan-stepping mode it
 // is the reference linear scan over live partition state. sched.FixedPriority
 // picks through it, so the NoRandom decision never materializes the runnable
 // slice.
 func (s *System) FirstRunnable() int {
-	if s.ScanStepping {
+	if s.scanStepping {
 		for i, p := range s.Partitions {
 			if p.Runnable() {
 				return i
@@ -672,7 +670,7 @@ func (s *System) step(until vtime.Time) {
 	// set by pruned heap descent and replays the scan path's ascending
 	// partition-index delivery order exactly (the due set is sorted), so both
 	// paths emit byte-identical event streams.
-	if s.ScanStepping {
+	if s.scanStepping {
 		delivered := 0
 		for i, p := range s.Partitions {
 			if s.nextEv[i] <= now {
@@ -754,7 +752,7 @@ func (s *System) step(until vtime.Time) {
 	// quantum boundary, and — if a partition runs — its budget depletion or
 	// current-job completion.
 	horizon := until
-	if s.ScanStepping {
+	if s.scanStepping {
 		for _, e := range s.nextEv {
 			if e < horizon {
 				horizon = e
@@ -888,7 +886,7 @@ func (s *System) observeDecision(now vtime.Time, pick *partition.Partition, pick
 	if pick != nil {
 		upTo = pick.Index
 	}
-	if s.ScanStepping {
+	if s.scanStepping {
 		for i := 0; i < upTo; i++ {
 			if s.Partitions[i].Runnable() {
 				inverted = true

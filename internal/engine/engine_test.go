@@ -159,7 +159,7 @@ func TestRunnableOrder(t *testing.T) {
 	// Partition state is mutated behind the engine's back here, which the
 	// runnable bitset cannot observe; the scan path re-derives runnability
 	// on every call and is the documented escape hatch for this.
-	sys.ScanStepping = true
+	sys.SetScanStepping(true)
 	// At t=0 both are runnable, in priority order.
 	for _, p := range sys.Partitions {
 		p.Server.AdvanceTo(0)

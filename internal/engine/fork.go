@@ -20,8 +20,8 @@ import (
 // the receiver after a Reset — same configuration (quantum, selection mode),
 // fresh scratch/cache state, and a cloned RNG position when the policy owns
 // one. Because the verdict cache and search-reuse state are exact
-// (digest-pinned against the uncached path), starting the fork with them
-// empty never changes a schedule.
+// (digest-pinned against an uncached, from-scratch reference policy),
+// starting the fork with them empty never changes a schedule.
 type PolicyForker interface {
 	ForkPolicy() GlobalPolicy
 }
@@ -54,8 +54,8 @@ func (s *System) Fork() *System {
 		Policy:         pol,
 		Rand:           s.Rand.Clone(),
 		MeasureLatency: s.MeasureLatency,
-		ScanStepping:   s.ScanStepping,
 		Counters:       s.Counters,
+		scanStepping:   s.scanStepping,
 		now:            s.now,
 		running:        s.running,
 		perPart:        slices.Clone(s.perPart),

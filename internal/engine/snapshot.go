@@ -24,8 +24,9 @@ package engine
 //     rebuilt from the restored nextEv keys (heap shape among equal keys is
 //     unobservable: due-set delivery is sorted and MinKey is a minimum).
 //   - Flushed: the policy's decision state (verdict cache, search reuse)
-//     via PolicyResetter. The cache is exact — pinned digest-identical to
-//     the uncached path — so flushing it never changes a schedule.
+//     via PolicyResetter. Both are exact — pinned digest-identical to an
+//     uncached, from-scratch reference policy — so flushing them never
+//     changes a schedule.
 //
 // The wire format is a flat little-endian u64 stream: an 8-byte magic,
 // SnapshotVersion, a configuration fingerprint (partition priorities, server

@@ -7,19 +7,26 @@ package engine_test
 // chunks (see mutation_on.go), and the differential restore harness MUST
 // notice — a restored system that lost its pending supply replenishes later
 // and diverges from the straight line. If this test fails, the battery has a
-// blind spot.
+// blind spot. Every other mutant is switched off, so each divergence is the
+// encoder's.
 
 import (
 	"sync"
 	"testing"
 
+	"timedice/internal/core"
 	"timedice/internal/experiments/runner"
 	"timedice/internal/gen"
 	"timedice/internal/rng"
 	"timedice/internal/server"
+	"timedice/internal/vtime"
 )
 
 func TestSnapshotMutationCaught(t *testing.T) {
+	defer core.SetCacheMutant(core.SetCacheMutant(false))
+	defer core.SetFastPathMutant(core.SetFastPathMutant(false))
+	defer vtime.SetRecipMutant(vtime.SetRecipMutant(false))
+	defer server.SetReplenishMutant(server.SetReplenishMutant(false))
 	n := 200
 	if testing.Short() {
 		n = 60

@@ -1,17 +1,21 @@
 package gen
 
 import (
+	"fmt"
 	"testing"
 
+	"timedice/internal/check"
+	"timedice/internal/core"
 	"timedice/internal/engine"
 	"timedice/internal/experiments/runner"
+	"timedice/internal/partition"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
+	"timedice/internal/vtime"
 )
 
-// diffOptions narrows the sampling space to the TimeDice policies: the
-// verdict cache only exists there, so NoRandom scenarios would compare a
-// policy against itself.
+// diffOptions narrows the sampling space to the TimeDice policies, the only
+// ones the reference policy stands in for.
 func diffOptions() Options {
 	opts := DefaultOptions()
 	opts.Policies = []policies.Kind{policies.TimeDiceU, policies.TimeDiceW}
@@ -29,55 +33,72 @@ func diffScenarios(n int, seed uint64) []Scenario {
 	return scs
 }
 
-// TestCachedUncachedDigestsMatch is the exactness proof for the incremental
-// schedulability-verdict cache: over a large corpus of generated scenarios,
-// running with the cache enabled and disabled must produce byte-identical
-// event streams (compared by digest) and identical oracle verdicts. Any
-// unsound cache hit — a stale verdict served
-// past its validity horizon or across an invalidation — flips at least one
-// scheduling decision and shows up as a digest mismatch.
-func TestCachedUncachedDigestsMatch(t *testing.T) {
-	n := 1000
-	if testing.Short() {
-		n = 150
-	}
-	scs := diffScenarios(n, 0xd1ce)
-	_, err := runner.Map(0, scs, func(i int, sc Scenario) (struct{}, error) {
-		cached, err := Run(sc)
-		if err != nil {
-			t.Errorf("scenario %d cached: %v", i, err)
-			return struct{}{}, nil
-		}
-		uncached, err := RunUncached(sc)
-		if err != nil {
-			t.Errorf("scenario %d uncached: %v", i, err)
-			return struct{}{}, nil
-		}
-		if cd, ud := cached.Digest(), uncached.Digest(); cd != ud {
-			enc, _ := Encode(sc)
-			t.Errorf("scenario %d: cached digest %#x != uncached %#x\nscenario: %s", i, cd, ud, enc)
-		}
-		_, cv := cached.Violations()
-		_, uv := uncached.Violations()
-		if cv != uv {
-			t.Errorf("scenario %d: cached %d violations, uncached %d", i, cv, uv)
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// refPolicy is the TimeDice reference decision: every Pick snapshots the
+// live servers (core.Snapshot) and runs the uncached, plain-division
+// core.CandidateSearch and core.Select on the system stream. It has no
+// verdict cache, no search reuse and no view of the engine's arenas or ready
+// bitset. It counts only the decision tallies that do not depend on how a
+// verdict was reached.
+type refPolicy struct {
+	quantum vtime.Duration
+	mode    core.SelectionMode
+	states  []core.PartitionState
+	stats   core.Stats
+	last    core.SearchResult
 }
 
-// comparableCounters projects an engine.Counters to the subset that must be
-// bit-identical across stepping paths: everything except ArenaBytesTouched
-// and InterferenceTerms, which are path-dependent by design (the scan path
-// visits every partition and re-sums every interference term; the indexed
-// path's kernel touches only what changed), and the wall-clock measurements,
-// which are host observations. Notably FixpointIters IS compared: the
-// divisionless kernel must replay the reference's iteration sequence exactly.
-func comparableCounters(c engine.Counters) engine.Counters {
-	c.ArenaBytesTouched = 0
+func (p *refPolicy) Name() string            { return "TimeDiceReference" }
+func (p *refPolicy) Quantum() vtime.Duration { return p.quantum }
+func (p *refPolicy) Stats() core.Stats       { return p.stats }
+func (p *refPolicy) DecisionDetail() (candidates, tests int64) {
+	return int64(len(p.last.Candidates)), p.last.Tests
+}
+
+func (p *refPolicy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
+	p.states = core.Snapshot(sys, p.states)
+	res := core.CandidateSearch(p.states, now, p.quantum, nil)
+	p.last = res
+	p.stats.Decisions++
+	p.stats.CandidateSum += int64(len(res.Candidates))
+	if res.IdleOK {
+		p.stats.IdleEligible++
+	}
+	if len(res.Candidates) == 0 {
+		return nil
+	}
+	choice := core.Select(p.states, res, now, p.mode, sys.Rand, nil)
+	if choice == core.IdleChoice {
+		p.stats.IdleSelected++
+		return nil
+	}
+	if choice != res.Candidates[0] {
+		p.stats.InversionsWon++
+	}
+	return sys.Partitions[choice]
+}
+
+// runReference is RunRecorded with the scenario's TimeDice policy replaced by
+// refPolicy of the same quantum and selection mode.
+func runReference(sc Scenario) (*check.Suite, RunStats, error) {
+	mode := core.SelectWeighted
+	if sc.Policy == policies.TimeDiceU {
+		mode = core.SelectUniform
+	}
+	suite, sys, err := run(sc, nil, func(sys *engine.System) {
+		sys.Policy = &refPolicy{quantum: sys.Policy.Quantum(), mode: mode}
+	})
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	return suite, runStats(sys), nil
+}
+
+// referenceCounters projects engine.Counters to what a run under refPolicy
+// must reproduce: everything except the Algorithm-3 work tallies, which a
+// cache hit or a reused search skips and the reference never does, and the
+// wall-clock measurements, which are host observations.
+func referenceCounters(c engine.Counters) engine.Counters {
+	c.FixpointIters = 0
 	c.InterferenceTerms = 0
 	c.PolicyTime = 0
 	c.PolicySamples = 0
@@ -85,55 +106,68 @@ func comparableCounters(c engine.Counters) engine.Counters {
 	return c
 }
 
-// TestIndexedScanDigestsMatch is the exactness proof for the indexed
-// stepping path: over the generated corpus (all policies this time — the
-// event queue is policy-independent), the default indexed stepping and the
-// reference O(P) scan must produce byte-identical event streams, identical
-// oracle verdicts, identical deterministic engine counters (modulo the
-// deliberately path-dependent ones, see comparableCounters), and an
-// identical core.Stats, field for field. Any divergence in delivery order,
-// idle notification, or horizon selection flips at least one event and shows
-// up as a digest mismatch; any drift in the decision kernel's iteration
-// replay shows up as a FixpointIters mismatch, and any drift in Pick's
-// bookkeeping (tests, reuses, candidates, idle and inversion tallies, cache
-// hits and misses) as a core.Stats mismatch, even when the schedule happens
-// to agree.
-func TestIndexedScanDigestsMatch(t *testing.T) {
+// decisionTallies projects core.Stats to the tallies refPolicy counts too.
+func decisionTallies(s core.Stats) core.Stats {
+	return core.Stats{
+		Decisions:     s.Decisions,
+		CandidateSum:  s.CandidateSum,
+		IdleEligible:  s.IdleEligible,
+		IdleSelected:  s.IdleSelected,
+		InversionsWon: s.InversionsWon,
+	}
+}
+
+// referenceMismatch runs sc under the production policy and under refPolicy
+// and describes the first way the two runs differ, or returns "" when they
+// agree.
+func referenceMismatch(sc Scenario) (string, error) {
+	prod, pst, err := RunRecorded(sc, nil)
+	if err != nil {
+		return "", err
+	}
+	ref, rst, err := runReference(sc)
+	if err != nil {
+		return "", err
+	}
+	if pd, rd := prod.Digest(), ref.Digest(); pd != rd {
+		enc, _ := Encode(sc)
+		return fmt.Sprintf("digest %#x != reference %#x\nscenario: %s", pd, rd, enc), nil
+	}
+	_, pv := prod.Violations()
+	_, rv := ref.Violations()
+	if pv != rv {
+		return fmt.Sprintf("%d violations, reference %d", pv, rv), nil
+	}
+	if pc, rc := referenceCounters(pst.Counters), referenceCounters(rst.Counters); pc != rc {
+		return fmt.Sprintf("counter divergence:\npolicy:    %+v\nreference: %+v", pc, rc), nil
+	}
+	if pt, rt := decisionTallies(pst.Policy), rst.Policy; pt != rt {
+		return fmt.Sprintf("decision-tally divergence:\npolicy:    %+v\nreference: %+v", pt, rt), nil
+	}
+	return "", nil
+}
+
+// TestReferenceDigestsMatch is the exactness proof for the production
+// TimeDice decision path: over the generated TimeDice corpus, core.Policy —
+// the engine's arenas and ready bitset, the verdict cache, whole-search
+// reuse and the divisionless kernel — must reproduce refPolicy's run: the
+// same event-stream digest, oracle verdicts, engine counters (see
+// referenceCounters) and decision tallies. Any unsound cache hit or reused
+// search, stale arena entry or ready bit, or kernel drift flips at least one
+// decision and shows up as a digest mismatch; a bookkeeping slip in Pick
+// shows up as a tally mismatch even when the schedule happens to agree.
+func TestReferenceDigestsMatch(t *testing.T) {
 	n := 1000
 	if testing.Short() {
 		n = 150
 	}
-	r := rng.New(0x5ca1ab1e)
-	opts := DefaultOptions()
-	scs := make([]Scenario, n)
-	for i := range scs {
-		scs[i] = Generate(r, opts)
-	}
+	scs := diffScenarios(n, 0xd1ce)
 	_, err := runner.Map(0, scs, func(i int, sc Scenario) (struct{}, error) {
-		indexed, ist, err := RunRecorded(sc, nil)
+		msg, err := referenceMismatch(sc)
 		if err != nil {
-			t.Errorf("scenario %d indexed: %v", i, err)
-			return struct{}{}, nil
-		}
-		scan, sst, err := RunScanRecorded(sc, nil)
-		if err != nil {
-			t.Errorf("scenario %d scan: %v", i, err)
-			return struct{}{}, nil
-		}
-		if id, sd := indexed.Digest(), scan.Digest(); id != sd {
-			enc, _ := Encode(sc)
-			t.Errorf("scenario %d: indexed digest %#x != scan %#x\nscenario: %s", i, id, sd, enc)
-		}
-		_, iv := indexed.Violations()
-		_, sv := scan.Violations()
-		if iv != sv {
-			t.Errorf("scenario %d: indexed %d violations, scan %d", i, iv, sv)
-		}
-		if ic, sc2 := comparableCounters(ist.Counters), comparableCounters(sst.Counters); ic != sc2 {
-			t.Errorf("scenario %d: counter divergence across stepping paths:\nindexed: %+v\nscan:    %+v", i, ic, sc2)
-		}
-		if ist.Policy != sst.Policy {
-			t.Errorf("scenario %d: policy-stats divergence across stepping paths:\nindexed: %+v\nscan:    %+v", i, ist.Policy, sst.Policy)
+			t.Errorf("scenario %d: %v", i, err)
+		} else if msg != "" {
+			t.Errorf("scenario %d: %s", i, msg)
 		}
 		return struct{}{}, nil
 	})

@@ -4,8 +4,6 @@ import (
 	"timedice/internal/check"
 	"timedice/internal/core"
 	"timedice/internal/engine"
-	"timedice/internal/policies"
-	"timedice/internal/rng"
 	"timedice/internal/telemetry"
 )
 
@@ -15,7 +13,7 @@ import (
 // statistics; the engine's cheap counters are cross-checked against the
 // suite's own event-derived tallies before returning.
 func Run(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum}, nil)
+	suite, _, err := run(sc, nil)
 	return suite, err
 }
 
@@ -34,20 +32,7 @@ type RunStats struct {
 // identical event stream the suite digests, so a recorder window covering
 // the whole run replays to suite.Digest().
 func RunRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
-	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	return suite, runStats(sys), nil
-}
-
-// RunScanRecorded is RunScan with the run's aggregate statistics returned,
-// the scan-side twin of RunRecorded. The differential suite uses the pair to
-// pin the policy's Stats and the engine's deterministic counters equal across
-// stepping paths (except the two counters that are path-dependent by design,
-// ArenaBytesTouched and InterferenceTerms).
-func RunScanRecorded(sc Scenario, extra telemetry.Sink) (*check.Suite, RunStats, error) {
-	suite, sys, err := run(sc, policies.Options{Quantum: sc.Quantum}, extra, scanStepping)
+	suite, sys, err := run(sc, extra)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -63,42 +48,15 @@ func runStats(sys *engine.System) RunStats {
 	return st
 }
 
-// RunUncached is Run with the TimeDice schedulability-verdict cache disabled.
-// Because the cache is exact, the returned suite must be indistinguishable
-// from Run's — same digest, same violations, same statistics — which the
-// differential tests pin over the simfuzz scenario corpus.
-func RunUncached(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum, UncachedTimeDice: true}, nil)
-	return suite, err
-}
-
-// RunScan is Run with the engine's reference O(P) scan stepping
-// (engine.System.ScanStepping) instead of the indexed event queue. The two
-// stepping modes are required to be observationally identical — same digest,
-// same violations — which the differential tests pin over the scenario
-// corpus.
-func RunScan(sc Scenario) (*check.Suite, error) {
-	suite, _, err := run(sc, policies.Options{Quantum: sc.Quantum}, nil, scanStepping)
-	return suite, err
-}
-
-// scanStepping flips the built system to the reference stepping path.
-func scanStepping(sys *engine.System) { sys.ScanStepping = true }
-
-func run(sc Scenario, opts policies.Options, extra telemetry.Sink, tweaks ...func(*engine.System)) (*check.Suite, *engine.System, error) {
+// run simulates sc under a fresh check.Suite (plus extra, when non-nil).
+// Each tweak is applied to the built system before it runs; the differential
+// tests use one to swap in a reference policy.
+func run(sc Scenario, extra telemetry.Sink, tweaks ...func(*engine.System)) (*check.Suite, *engine.System, error) {
 	suite, err := check.NewSuite(sc.Spec, sc.Policy)
 	if err != nil {
 		return nil, nil, err
 	}
-	built, err := sc.Spec.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	pol, err := policies.Build(sc.Policy, built.Partitions, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(sc.Seed))
+	sys, err := Build(sc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -51,12 +51,6 @@ func (k Kind) Randomizing() bool { return k == TimeDiceU || k == TimeDiceW }
 type Options struct {
 	// Quantum is MIN_INV_SIZE for the TimeDice policies (default 1 ms).
 	Quantum vtime.Duration
-	// UncachedTimeDice disables the incremental schedulability-verdict
-	// cache in the TimeDice policies. The cache is exact, so this only
-	// changes speed, never the schedule; it exists for differential
-	// testing (cached vs uncached digests must match) and as a baseline
-	// for the overhead benchmarks.
-	UncachedTimeDice bool
 }
 
 // Build constructs the policy. parts is needed only by TDMA (slot table).
@@ -69,11 +63,9 @@ func Build(k Kind, parts []*partition.Partition, opts Options) (engine.GlobalPol
 	case NoRandom:
 		return sched.FixedPriority{}, nil
 	case TimeDiceU:
-		return core.NewPolicy(core.WithQuantum(q), core.WithSelection(core.SelectUniform),
-			core.WithVerdictCache(!opts.UncachedTimeDice)), nil
+		return core.NewPolicy(core.WithQuantum(q), core.WithSelection(core.SelectUniform)), nil
 	case TimeDiceW:
-		return core.NewPolicy(core.WithQuantum(q), core.WithSelection(core.SelectWeighted),
-			core.WithVerdictCache(!opts.UncachedTimeDice)), nil
+		return core.NewPolicy(core.WithQuantum(q), core.WithSelection(core.SelectWeighted)), nil
 	case TDMA:
 		return sched.NewTDMA(parts)
 	default:

@@ -9,5 +9,19 @@ import "timedice/internal/vtime"
 // budget. The run stays self-consistent — the observer reports the shorted
 // amount, the engine never overdraws — so only an oracle that knows the
 // server contract ("a boundary replenish restores the full budget") can
-// catch it. check's TestMutationOraclesFire asserts it does.
-const replenishShort vtime.Duration = 100 * vtime.Microsecond
+// catch it. check's TestMutationOraclesFire asserts it does. It is a
+// variable so that other mutation tests can switch it off.
+var replenishShort vtime.Duration = mutantShort
+
+const mutantShort = 100 * vtime.Microsecond
+
+// SetReplenishMutant switches the shorted-replenishment mutant on or off and
+// returns its previous setting. It exists only in timedice_mutation builds.
+func SetReplenishMutant(on bool) (was bool) {
+	was = replenishShort != 0
+	replenishShort = 0
+	if on {
+		replenishShort = mutantShort
+	}
+	return was
+}

@@ -198,55 +198,3 @@ func TestDisabledTelemetryCountersMatch(t *testing.T) {
 		t.Error("sink-attached run recorded no inversion windows under TimeDiceW")
 	}
 }
-
-// TestGoldenScanStepping pins the stepping-mode equivalence on the golden
-// scenario: rerunning it with the engine's reference O(P) scan path
-// (System.ScanStepping) must reproduce every committed golden artifact byte
-// for byte. Together with the corpus-wide digest differential in
-// internal/gen this makes the indexed event queue observationally invisible.
-func TestGoldenScanStepping(t *testing.T) {
-	built, err := workload.ThreePartition().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := policies.Build(policies.TimeDiceW, built.Partitions, policies.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.ScanStepping = true
-	rec := telemetry.NewRecorder()
-	sys.AttachTelemetry(rec)
-	sys.Run(vtime.Time(200 * vtime.Millisecond))
-	sys.FlushTelemetry()
-	events := rec.Events()
-	names := make([]string, len(sys.Partitions))
-	for i, p := range sys.Partitions {
-		names[i] = p.Name
-	}
-
-	var jsonl bytes.Buffer
-	sink := telemetry.NewJSONLSink(&jsonl)
-	for _, e := range events {
-		sink.Event(e)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "three_events.jsonl", jsonl.Bytes())
-
-	var chrome bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&chrome, events, names); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "three_trace.json", chrome.Bytes())
-
-	var sum bytes.Buffer
-	if err := telemetry.Summarize(events).WriteText(&sum, names); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "three_summary.txt", sum.Bytes())
-}

@@ -9,8 +9,8 @@ package vtime
 // sum then misses one replenishment from every stream whose arrival falls
 // strictly inside a partial period of the busy interval, the classic
 // ceil-vs-floor boundary bug in response-time analysis. Only the divisionless
-// decision kernel consumes Reciprocal quotients; the scan/AoS reference path
-// keeps plain hardware division, so the corruption is visible exactly where
-// it must be: TestRecipMutationCaught proves the indexed-vs-scan differential
-// digest suite notices.
+// decision kernel consumes Reciprocal quotients; the plain-division reference
+// (core.CandidateSearch) keeps hardware division, so the corruption is
+// visible exactly where it must be: TestRecipMutationCaught proves the
+// reference-policy differential of internal/gen notices.
 const recipRoundSkew = 0

@@ -5,9 +5,9 @@ package vtime
 // Mutation build: Reciprocal.CeilDiv degrades to floor rounding, so the
 // divisionless kernel undercounts every partial-period replenishment while
 // the plain-division reference paths stay exact. See mutation_off.go for the
-// contract; the point of this build is proving the indexed-vs-scan
-// differential digest suite notices. It is a variable so a mutation test can
-// switch it off to isolate another mutant the same differential must catch.
+// contract; the point of this build is proving the reference-policy
+// differential notices. It is a variable so each mutation test can switch
+// it off to isolate its own mutant.
 var recipRoundSkew int64 = 1
 
 // SetRecipMutant switches the corrupted-reciprocal mutant on or off and

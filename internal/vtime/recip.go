@@ -14,7 +14,8 @@ package vtime
 // (recip_test.go proves it by exhaustive small-divisor sweeps, adversarial
 // near-overflow cases, and the FuzzDivisors target). The decision kernel
 // depends on that — reciprocal and plain paths must produce byte-identical
-// schedules, which the indexed-vs-scan differential pins end-to-end.
+// schedules, which the reference-policy differential of internal/gen pins
+// end-to-end.
 
 import "math/bits"
 
