@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"timedice/internal/analysis"
@@ -19,18 +20,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "opa:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("opa", flag.ContinueOnError)
 	configPath := fs.String("config", "", "path to a JSON system spec (required)")
 	emit := fs.Bool("emit", false, "print the reordered spec as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: opa takes only flags", fs.Args())
 	}
 	if *configPath == "" {
 		return fmt.Errorf("-config is required")
@@ -56,20 +60,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("schedulable priority order for %q (highest first):\n", spec.Name)
+	fmt.Fprintf(stdout, "schedulable priority order for %q (highest first):\n", spec.Name)
 	for pos, idx := range order {
 		p := spec.Partitions[idx]
-		fmt.Printf("  %2d. %-12s B=%v T=%v (u=%.3f)\n", pos+1, p.Name, p.Budget, p.Period, p.Utilization())
+		fmt.Fprintf(stdout, "  %2d. %-12s B=%v T=%v (u=%.3f)\n", pos+1, p.Name, p.Budget, p.Period, p.Utilization())
 	}
 	if declared := analysis.SystemSchedulable(spec); !declared {
-		fmt.Println("note: the declared order was NOT schedulable; use the order above.")
+		fmt.Fprintln(stdout, "note: the declared order was NOT schedulable; use the order above.")
 	}
 	if *emit {
 		data, err := re.MarshalJSON()
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		_, err = fmt.Fprintln(stdout, string(data))
+		return err
 	}
 	return nil
 }

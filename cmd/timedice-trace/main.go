@@ -178,7 +178,7 @@ func executeTrace(cfg traceConfig) (*traceResult, error) {
 		return nil, err
 	}
 
-	// Fold the Pick-latency histogram into the registry before dumping.
+	// Fold the Pick-latency sketch into the registry before dumping.
 	if h := sys.Counters.PolicyLatency; h != nil {
 		coll.Registry().Gauge("policy.pick_latency_p50_us").Set(h.Quantile(0.5))
 		coll.Registry().Gauge("policy.pick_latency_p99_us").Set(h.Quantile(0.99))

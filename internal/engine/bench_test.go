@@ -109,9 +109,8 @@ func TestRunnableScratchReuse(t *testing.T) {
 }
 
 // buildSparse assembles the n-partition sparse-activity system (three hot
-// partitions, n−3 second-scale cold ones) under NoRandom, optionally on the
-// reference scan-stepping path.
-func buildSparse(tb testing.TB, n int, scan bool) *engine.System {
+// partitions, n−3 second-scale cold ones) under NoRandom.
+func buildSparse(tb testing.TB, n int) *engine.System {
 	tb.Helper()
 	built, err := workload.Sparse(n).Build()
 	if err != nil {
@@ -125,7 +124,6 @@ func buildSparse(tb testing.TB, n int, scan bool) *engine.System {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys.SetScanStepping(scan)
 	return sys
 }
 
@@ -150,15 +148,15 @@ func BenchmarkEngineStepScale(b *testing.B) {
 			scan bool
 		}{{"indexed", false}, {"scan", true}} {
 			b.Run(fmt.Sprintf("P%d/%s", n, mode.name), func(b *testing.B) {
-				sys := buildSparse(b, n, mode.scan)
+				sys := buildSparse(b, n)
 				// Warm past two full cycles of the slowest cold partition
 				// (period up to ~2.06s) so job freelists reach steady state.
-				sys.RunFor(5 * vtime.Second)
+				runTo(sys, vtime.Time(5*vtime.Second), mode.scan)
 				b.ReportAllocs()
 				before := sys.Counters
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys.RunFor(vtime.Millisecond)
+					runTo(sys, sys.Now().Add(vtime.Millisecond), mode.scan)
 				}
 				b.StopTimer()
 				// One decision per step, so Decisions counts steps exactly.
@@ -263,7 +261,7 @@ func TestEngineScaleZeroAlloc(t *testing.T) {
 	}
 	for _, n := range []int{64, 256, 1024, 16384} {
 		t.Run(fmt.Sprintf("P%d", n), func(t *testing.T) {
-			sys := buildSparse(t, n, false)
+			sys := buildSparse(t, n)
 			// Two full cycles of the slowest cold partition (~2.06s period).
 			sys.RunFor(5 * vtime.Second)
 			allocs := testing.AllocsPerRun(50, func() {

@@ -66,10 +66,9 @@ func tieRun(t *testing.T, spec model.SystemSpec, kind policies.Kind, seed uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetScanStepping(scan)
 	rec := telemetry.NewRecorder()
 	sys.AttachTelemetry(rec)
-	sys.Run(vtime.Time(dur))
+	runTo(sys, vtime.Time(dur), scan)
 	sys.FlushTelemetry()
 	var buf bytes.Buffer
 	sink := telemetry.NewJSONLSink(&buf)
@@ -125,10 +124,9 @@ func TestTieBreakOrderPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetScanStepping(scan)
 		var segs []engine.Segment
 		sys.TraceFn = func(s engine.Segment) { segs = append(segs, s) }
-		sys.Run(vtime.Time(vtime.MS(16)))
+		runTo(sys, vtime.Time(vtime.MS(16)), scan)
 
 		want := []engine.Segment{
 			{Start: 0, End: vtime.Time(vtime.MS(1)), Partition: 0},

@@ -23,6 +23,7 @@ import (
 	"timedice/internal/rng"
 	"timedice/internal/server"
 	"timedice/internal/shard"
+	"timedice/internal/stats"
 	"timedice/internal/task"
 	"timedice/internal/telemetry"
 	"timedice/internal/vtime"
@@ -100,11 +101,13 @@ type Counters struct {
 	// hot-path work the nil-sink configuration must not pay.
 	InversionWindows int64
 	InversionTime    vtime.Duration
-	// PolicyLatency is a fixed-bucket streaming histogram (microseconds) of
+	// PolicyLatency is the streaming quantile sketch (microseconds) of
 	// individual Pick wall-clock latencies, populated when MeasureLatency is
-	// set. Constant memory regardless of run length. Allocated once at the
-	// start of Run (never mid-step) and retained across Reset.
-	PolicyLatency *telemetry.Histogram
+	// set: exact up to 1024 samples, within 1% relative value error after
+	// that, in bounded memory regardless of run length. Allocated before
+	// the first measured step and retained (emptied, capacity kept) across
+	// Reset, so a reused system replays measured trials allocation-free.
+	PolicyLatency *stats.Sketch
 
 	// MinAdvances counts activations of the defensive minimum-advance
 	// fallback: steps where every horizon bound collapsed to now and the
@@ -118,8 +121,9 @@ type Counters struct {
 	// bitset words) the stepping algorithm reads or writes per step, charging
 	// one 64-byte line for every pointer-chased partition visit (deliver,
 	// NoteIdle, execute). It is not a hardware measurement — it counts what
-	// the algorithm touches, so a quiescent partition costs zero bytes in
-	// indexed mode and a full visit per step in scan mode, which is exactly
+	// the algorithm touches, so a quiescent partition costs zero bytes per
+	// step, against a full visit per step under the tests' O(P) reference
+	// stepper, which is exactly
 	// the contrast BenchmarkEngineStepScale's B/qpart metric and the obs
 	// /metrics arena-bytes exposition quantify. Always maintained (a handful
 	// of integer adds per step, no memory traffic of its own).
@@ -129,8 +133,9 @@ type Counters struct {
 	// the Algorithm-3 kernel, maintained by the TimeDice policy (zero under
 	// non-TimeDice policies): busy-interval fixpoint iterations run, and
 	// interference terms actually evaluated (one CeilDiv-and-accumulate
-	// each). The policy runs the same kernel under both stepping modes, so
-	// the indexed-vs-scan differential pins both counters equal. Against
+	// each). The policy runs the same kernel under step and under the
+	// tests' scan stepper, so the indexed-vs-scan differential pins both
+	// counters equal. Against
 	// the plain-division reference, FixpointIters is path-independent (the
 	// divisionless kernel replays the reference iteration sequence exactly)
 	// while InterferenceTerms is not: the reference re-sums every charged
@@ -165,24 +170,10 @@ type System struct {
 	// produced. Segments are contiguous and non-overlapping.
 	TraceFn func(Segment)
 	// MeasureLatency streams the wall-clock latency of every Pick call into
-	// the Counters.PolicyLatency histogram (Table IV). Off by default.
+	// the Counters.PolicyLatency sketch (Table IV). Off by default.
 	MeasureLatency bool
 
 	Counters Counters
-
-	// scanStepping selects the reference O(P) stepping implementation: full
-	// partition scans for event delivery, polling-idle notification, the
-	// horizon min-reduce, Runnable/FirstRunnable and inversion detection,
-	// re-reading live partition state exactly as the engine worked before
-	// the indexed stepping path. Production always leaves it false and uses
-	// the index-min heap and the runnable bitset, whose per-step cost depends
-	// on the number of due and runnable partitions rather than on P. Only the
-	// package's tests set it (export_test.go): the indexed-vs-scan
-	// differential and golden tests pin the two paths to byte-identical event
-	// streams, and the scaling benchmark times one against the other.
-	// Policies read Hot in both modes. Toggling mid-run is safe: the heap
-	// keys, the bitset and the arenas are maintained in both modes.
-	scanStepping bool
 
 	now     vtime.Time
 	running int // index of last picked partition, or -1
@@ -207,7 +198,7 @@ type System struct {
 	// bit i set iff Partitions[i].Runnable() (active server ∧ ready work). It
 	// is refreshed at the only sites where runnability can change — event
 	// delivery and execution — and backs Runnable, FirstRunnable, and the
-	// inversion scan in indexed mode. Scans descend only into occupied
+	// inversion check. Scans descend only into occupied
 	// 64-partition groups, so at P=16384 with a handful of runnable
 	// partitions a walk touches the 4 summary words plus one or two group
 	// words instead of 256. NoteIdle never flips a bit: it only fires on
@@ -501,13 +492,12 @@ type Hot struct {
 // Hot returns the arena view. The slices and bitset are owned by the System
 // and must not be mutated; values are exact at every decision point (the
 // engine republishes a partition's entries whenever delivery, execution, or
-// an idle discard can move them), which is when policies read them, under
-// either stepping mode. core.Policy's decision path aliases these slices
-// directly, so a TimeDice decision at P=16384 reads a few contiguous cache
-// lines instead of pointer-chasing every server. Like the ready set, the
-// arenas only observe engine-driven mutation: a test that pokes servers
-// directly must read them back from the servers (core.Snapshot) or through
-// the engine's test-only scan stepping, whose paths re-read live state.
+// an idle discard can move them), which is when policies read them.
+// core.Policy's decision path aliases these slices directly, so a TimeDice
+// decision at P=16384 reads a few contiguous cache lines instead of
+// pointer-chasing every server. Like the ready set, the arenas only observe
+// engine-driven mutation: a test that pokes servers directly must read them
+// back from the servers (core.Snapshot).
 func (s *System) Hot() Hot {
 	return Hot{
 		Remaining: s.hotRemaining,
@@ -535,50 +525,32 @@ func (s *System) PartitionTime(i int) vtime.Duration { return s.perPart[i] }
 // only until the next Runnable call and must not be retained or mutated.
 func (s *System) Runnable() []*partition.Partition {
 	out := s.runnableBuf[:0]
-	if s.scanStepping {
-		// Reference implementation: the linear scan the bitset must agree
-		// with (pinned by the differential suite).
-		for _, p := range s.Partitions {
-			if p.Runnable() {
-				out = append(out, p)
-			}
-		}
-	} else {
-		s.ready.ForEachSet(func(i int) bool {
-			out = append(out, s.Partitions[i])
-			return true
-		})
-	}
+	s.ready.ForEachSet(func(i int) bool {
+		out = append(out, s.Partitions[i])
+		return true
+	})
 	s.runnableBuf = out
 	return out
 }
 
 // FirstRunnable returns the index of the highest-priority runnable partition,
-// or -1 when nothing is runnable. In indexed mode this is a summary-guided
-// first-set-bit probe (O(occupied groups), not O(P)); in scan-stepping mode it
-// is the reference linear scan over live partition state. sched.FixedPriority
-// picks through it, so the NoRandom decision never materializes the runnable
-// slice.
-func (s *System) FirstRunnable() int {
-	if s.scanStepping {
-		for i, p := range s.Partitions {
-			if p.Runnable() {
-				return i
-			}
-		}
-		return -1
+// or -1 when nothing is runnable: a summary-guided first-set-bit probe
+// (O(occupied groups), not O(P)). sched.FixedPriority picks through it, so
+// the NoRandom decision never materializes the runnable slice.
+func (s *System) FirstRunnable() int { return s.ready.First() }
+
+// armLatency allocates the Pick-latency sketch before stepping when
+// MeasureLatency is set. It survives Reset (emptied), so a reused system
+// replays measured trials allocation-free.
+func (s *System) armLatency() {
+	if s.MeasureLatency && s.Counters.PolicyLatency == nil {
+		s.Counters.PolicyLatency = stats.NewSketch()
 	}
-	return s.ready.First()
 }
 
 // Run advances the simulation until the given instant.
 func (s *System) Run(until vtime.Time) {
-	// The latency histogram is allocated here, outside the hot loop, so the
-	// first measured step never allocates mid-step. It survives Reset (reset
-	// to empty), so a reused system replays measured trials allocation-free.
-	if s.MeasureLatency && s.Counters.PolicyLatency == nil {
-		s.Counters.PolicyLatency = telemetry.NewHistogram(telemetry.LatencyBuckets())
-	}
+	s.armLatency()
 	for s.now < until {
 		s.step(until)
 	}
@@ -593,9 +565,7 @@ func (s *System) RunFor(d vtime.Duration) { s.Run(s.now.Add(d)) }
 // valid: splitting a slice artificially would re-consult randomized policies
 // mid-slice and diverge from the uninterrupted schedule.
 func (s *System) Step(until vtime.Time) {
-	if s.MeasureLatency && s.Counters.PolicyLatency == nil {
-		s.Counters.PolicyLatency = telemetry.NewHistogram(telemetry.LatencyBuckets())
-	}
+	s.armLatency()
 	if s.now < until {
 		s.step(until)
 	}
@@ -629,7 +599,7 @@ func (s *System) deliver(i int, p *partition.Partition, now vtime.Time) {
 // server discarded then. The first step after construction or Reset
 // delivers to every partition (nextEv entries start at zero), which covers
 // the initial full-budget/no-jobs state. Visiting in ascending index order
-// replays the scan path's Depleted-event order exactly.
+// replays the Depleted-event order of a scan over every partition exactly.
 func (s *System) noteIdleTouched(now vtime.Time, due []int32) {
 	prev := int32(-1)
 	if s.running >= 0 {
@@ -661,59 +631,48 @@ func (s *System) noteIdleOne(i int, now vtime.Time) {
 	}
 }
 
+// step is one decision step: it delivers the due set, then hands the
+// earliest pending local event to decideAndExecute as the starting horizon.
 func (s *System) step(until vtime.Time) {
 	now := s.now
 
 	// Deliver every event due at or before now: replenishments and arrivals.
 	// Partitions whose cached next event is still in the future are quiescent
-	// and skipped — nothing is due for them. The indexed path finds the due
-	// set by pruned heap descent and replays the scan path's ascending
-	// partition-index delivery order exactly (the due set is sorted), so both
-	// paths emit byte-identical event streams.
-	if s.scanStepping {
-		delivered := 0
-		for i, p := range s.Partitions {
-			if s.nextEv[i] <= now {
-				s.deliver(i, p, now)
-				delivered++
-			}
-		}
-		// Polling servers discard budget the moment they hold it with no
-		// pending workload.
-		for i, p := range s.Partitions {
-			if !p.Local.HasReady() && p.Server.NoteIdle(now) {
-				s.hotRemaining[i] = 0
-			}
-		}
-		// Cache-traffic proxy, scan mode: the delivery scan reads nextEv for
-		// every partition, NoteIdle pointer-chases every partition, and the
-		// horizon reduce below reads nextEv again — O(P) bytes per step even
-		// when nothing is due.
-		s.Counters.ArenaBytesTouched += int64(len(s.Partitions))*(8+partVisitBytes+8) +
-			int64(delivered)*(arenaStrideBytes+partVisitBytes)
-	} else {
-		due := s.evq.CollectDue(now, s.dueBuf[:0])
-		slices.Sort(due)
-		s.dueBuf = due
-		for _, i := range due {
-			s.deliver(int(i), s.Partitions[i], now)
-		}
-		s.noteIdleTouched(now, due)
-		// Cache-traffic proxy, indexed mode: due partitions pay a full visit
-		// plus an arena republish, the pruned heap descent touches at most
-		// 4·due+1 nodes, idle notification visits due ∪ {previous pick}, and
-		// the ready-set walks read the summary words plus the occupied
-		// groups. Quiescent partitions contribute nothing.
-		touched := int64(len(due))
-		if s.running >= 0 {
-			touched++
-		}
-		s.Counters.ArenaBytesTouched += int64(len(due))*(arenaStrideBytes+partVisitBytes) +
-			(4*int64(len(due))+1)*heapNodeBytes +
-			touched*partVisitBytes +
-			int64(s.ready.SummaryWords()+s.ready.OccupiedGroups())*8 +
-			8 // MinKey root read in the horizon bound
+	// and skipped — nothing is due for them. The due set comes from a pruned
+	// heap descent and is sorted, so delivery runs in ascending partition
+	// index, the order a scan over every partition would use.
+	due := s.evq.CollectDue(now, s.dueBuf[:0])
+	slices.Sort(due)
+	s.dueBuf = due
+	for _, i := range due {
+		s.deliver(int(i), s.Partitions[i], now)
 	}
+	s.noteIdleTouched(now, due)
+	// Cache-traffic proxy: due partitions pay a full visit plus an arena
+	// republish, the pruned heap descent touches at most 4·due+1 nodes, idle
+	// notification visits due ∪ {previous pick}, and the ready-set walks read
+	// the summary words plus the occupied groups. Quiescent partitions
+	// contribute nothing.
+	touched := int64(len(due))
+	if s.running >= 0 {
+		touched++
+	}
+	s.Counters.ArenaBytesTouched += int64(len(due))*(arenaStrideBytes+partVisitBytes) +
+		(4*int64(len(due))+1)*heapNodeBytes +
+		touched*partVisitBytes +
+		int64(s.ready.SummaryWords()+s.ready.OccupiedGroups())*8 +
+		8 // MinKey root read below
+
+	// MinKey == min(nextEv): the heap mirrors the cache exactly.
+	s.decideAndExecute(until, min(until, s.evq.MinKey()))
+}
+
+// decideAndExecute is the rest of a step once the due set is delivered: the
+// global decision, then the slice bounded by horizon (the earliest pending
+// local event, capped at until), the quantum and policy boundaries, and the
+// pick's budget depletion and job completion, then execution and telemetry.
+func (s *System) decideAndExecute(until, horizon vtime.Time) {
+	now := s.now
 
 	// Global scheduling decision. The clock reads exist only under
 	// MeasureLatency; the default path makes no syscalls.
@@ -725,8 +684,8 @@ func (s *System) step(until vtime.Time) {
 		lat := time.Since(t0)
 		s.Counters.PolicyTime += lat
 		s.Counters.PolicySamples++
-		if h := s.Counters.PolicyLatency; h != nil { // allocated by Run
-			h.Observe(float64(lat.Nanoseconds()) / 1e3)
+		if h := s.Counters.PolicyLatency; h != nil { // allocated by armLatency
+			h.Add(float64(lat.Nanoseconds()) / 1e3)
 		}
 	} else {
 		pick = s.Policy.Pick(s, now)
@@ -747,21 +706,10 @@ func (s *System) step(until vtime.Time) {
 		s.Counters.IdleDecisions++
 	}
 
-	// The slice ends at the earliest of: the horizon, any partition's next
-	// replenishment or arrival (from the cache — exact, see nextEv), the
+	// The slice ends at the earliest of: the horizon (until, or any
+	// partition's next replenishment or arrival — exact, see nextEv), the
 	// quantum boundary, and — if a partition runs — its budget depletion or
 	// current-job completion.
-	horizon := until
-	if s.scanStepping {
-		for _, e := range s.nextEv {
-			if e < horizon {
-				horizon = e
-			}
-		}
-	} else if e := s.evq.MinKey(); e < horizon {
-		// MinKey == min(nextEv): the heap mirrors the cache exactly.
-		horizon = e
-	}
 	if q := s.Policy.Quantum(); q > 0 {
 		if qe := now.Add(q); qe < horizon {
 			horizon = qe
@@ -881,25 +829,15 @@ func (s *System) observeDecision(now vtime.Time, pick *partition.Partition, pick
 	// Priority inversion: the decision ran a partition (or idled) while a
 	// strictly higher-priority partition was runnable. Consecutive inverted
 	// decisions form one window.
-	inverted := false
+	// The highest-priority runnable partition decides it: the decision is
+	// inverted iff one exists above the pick. First shares the bitset's
+	// summary-guided ForEachSet walk with Runnable and FixedPriority.
 	upTo := len(s.Partitions)
 	if pick != nil {
 		upTo = pick.Index
 	}
-	if s.scanStepping {
-		for i := 0; i < upTo; i++ {
-			if s.Partitions[i].Runnable() {
-				inverted = true
-				break
-			}
-		}
-	} else {
-		// The highest-priority runnable partition decides it: the decision is
-		// inverted iff one exists above the pick. First shares the bitset's
-		// summary-guided ForEachSet walk with Runnable and FixedPriority.
-		first := s.ready.First()
-		inverted = first >= 0 && first < upTo
-	}
+	first := s.ready.First()
+	inverted := first >= 0 && first < upTo
 	switch {
 	case inverted && !s.invOpen:
 		s.invOpen, s.invStart = true, now
@@ -949,9 +887,9 @@ func (s *System) Reset() {
 	}
 	s.now = 0
 	s.running = -1
-	// The latency histogram survives (emptied): dropping it would force the
+	// The latency sketch survives (emptied): dropping it would force the
 	// next measured Run to reallocate, breaking the allocation-free reuse
-	// contract. A reset histogram is indistinguishable from a fresh one.
+	// contract. A reset sketch is indistinguishable from a fresh one.
 	h := s.Counters.PolicyLatency
 	s.Counters = Counters{}
 	if h != nil {

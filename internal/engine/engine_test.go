@@ -154,20 +154,36 @@ func TestResetRestoresInitialState(t *testing.T) {
 	}
 }
 
-func TestRunnableOrder(t *testing.T) {
-	sys := buildTwo(t, sched.FixedPriority{})
-	// Partition state is mutated behind the engine's back here, which the
-	// runnable bitset cannot observe; the scan path re-derives runnability
-	// on every call and is the documented escape hatch for this.
-	sys.SetScanStepping(true)
-	// At t=0 both are runnable, in priority order.
-	for _, p := range sys.Partitions {
-		p.Server.AdvanceTo(0)
-		p.Local.ReleaseUpTo(0)
+// runnableProbe is FixedPriority that records the indices Runnable returns
+// at every decision.
+type runnableProbe struct {
+	sched.FixedPriority
+	seen [][]int
+}
+
+func (p *runnableProbe) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
+	var idx []int
+	for _, q := range sys.Runnable() {
+		idx = append(idx, q.Index)
 	}
-	r := sys.Runnable()
-	if len(r) != 2 || r[0].Index != 0 || r[1].Index != 1 {
-		t.Errorf("runnable = %v", r)
+	p.seen = append(p.seen, idx)
+	return p.FixedPriority.Pick(sys, now)
+}
+
+// TestRunnableOrder checks Runnable at engine-driven decisions: at t=0 both
+// partitions have released work and are runnable in priority order; at 2 ms
+// P0 has completed its job and spent its budget, leaving only P1.
+func TestRunnableOrder(t *testing.T) {
+	probe := &runnableProbe{}
+	sys := buildTwo(t, probe)
+	sys.Step(vtime.Time(vtime.MS(10)))
+	if sys.Now() != vtime.Time(vtime.MS(2)) {
+		t.Fatalf("first slice ended at %v, want 2ms", sys.Now())
+	}
+	sys.Step(vtime.Time(vtime.MS(10)))
+	want := [][]int{{0, 1}, {1}}
+	if !slices.EqualFunc(probe.seen, want, slices.Equal[[]int]) {
+		t.Errorf("runnable at each decision = %v, want %v", probe.seen, want)
 	}
 }
 

@@ -37,7 +37,7 @@ type PolicyForker interface {
 // shared, which is only safe for stateless policies (sched.FixedPriority —
 // every built-in policy implements PolicyForker, so sharing arises only with
 // custom policies). The telemetry sink, TraceFn, and the wall-clock latency
-// histogram are not carried over: a fork starts unobserved, and the caller
+// sketch are not carried over: a fork starts unobserved, and the caller
 // attaches its own sink before running.
 func (s *System) Fork() *System {
 	n := len(s.Partitions)
@@ -55,7 +55,6 @@ func (s *System) Fork() *System {
 		Rand:           s.Rand.Clone(),
 		MeasureLatency: s.MeasureLatency,
 		Counters:       s.Counters,
-		scanStepping:   s.scanStepping,
 		now:            s.now,
 		running:        s.running,
 		perPart:        slices.Clone(s.perPart),

@@ -55,7 +55,8 @@ func TestResetSeedDeterminism(t *testing.T) {
 }
 
 // TestTrialReuseZeroAlloc pins the campaign-reuse allocation contract: once a
-// system has run one warm-up trial, ResetSeed + re-run allocates nothing.
+// system is warm, ResetSeed + re-run allocates nothing — also with
+// MeasureLatency, whose Pick-latency sketch keeps its buffers across Reset.
 func TestTrialReuseZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin skipped in -short")
@@ -63,15 +64,26 @@ func TestTrialReuseZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin runs in the non-race CI lane")
 	}
-	for _, kind := range []policies.Kind{policies.NoRandom, policies.TimeDiceW} {
-		t.Run(kind.String(), func(t *testing.T) {
-			sys := buildSystem(t, kind)
+	for _, tc := range []struct {
+		kind    policies.Kind
+		measure bool
+	}{{policies.NoRandom, false}, {policies.TimeDiceW, false}, {policies.TimeDiceW, true}} {
+		name := tc.kind.String()
+		if tc.measure {
+			name += "/MeasureLatency"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys := buildSystem(t, tc.kind)
+			sys.MeasureLatency = tc.measure
+			// A one-second trial makes over 1024 decisions, so every trial
+			// spills the latency sketch to buckets and the next one refills
+			// its exact buffer after Reset.
 			sys.RunFor(vtime.Second) // warm freelists and scratch to high-water mark
 			seed := uint64(1)
 			allocs := testing.AllocsPerRun(20, func() {
 				sys.ResetSeed(seed)
 				seed++
-				sys.RunFor(100 * vtime.Millisecond)
+				sys.RunFor(vtime.Second)
 			})
 			if allocs != 0 {
 				t.Errorf("reused trial allocates %.1f times, want 0", allocs)

@@ -1,10 +1,10 @@
 package engine_test
 
-// The engine-layer reference: scan stepping (SetScanStepping) re-derives
-// event delivery, idle notification, the horizon, runnability and inversion
-// detection from live partition state on every step. These tests pin the
-// indexed production path to it, over the generated corpus and on the
-// committed golden traces.
+// The engine-layer reference: the scan stepper (RunScan) re-derives event
+// delivery, idle notification and the horizon from a scan over every
+// partition on every step, and asserts the ready bitset against live
+// runnability. These tests pin the indexed production path to it, over the
+// generated corpus and on the committed golden traces.
 
 import (
 	"bytes"
@@ -24,6 +24,16 @@ import (
 	"timedice/internal/workload"
 )
 
+// runTo advances sys to until on the production stepper, or on the O(P)
+// reference stepper when scan is set.
+func runTo(sys *engine.System, until vtime.Time, scan bool) {
+	if scan {
+		sys.RunScan(until)
+	} else {
+		sys.Run(until)
+	}
+}
+
 // runScan is gen.RunRecorded on the scan-stepping reference.
 func runScan(sc gen.Scenario) (*check.Suite, gen.RunStats, error) {
 	suite, err := check.NewSuite(sc.Spec, sc.Policy)
@@ -34,9 +44,8 @@ func runScan(sc gen.Scenario) (*check.Suite, gen.RunStats, error) {
 	if err != nil {
 		return nil, gen.RunStats{}, err
 	}
-	sys.SetScanStepping(true)
 	sys.AttachTelemetry(suite)
-	sys.RunFor(sc.Horizon)
+	sys.RunScan(vtime.Time(sc.Horizon))
 	sys.FlushTelemetry()
 	suite.Finish(sys.Now())
 	suite.CheckCounters(&sys.Counters, sc.Horizon)
@@ -132,10 +141,9 @@ func TestGoldenScanStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetScanStepping(true)
 	rec := telemetry.NewRecorder()
 	sys.AttachTelemetry(rec)
-	sys.Run(vtime.Time(200 * vtime.Millisecond))
+	sys.RunScan(vtime.Time(200 * vtime.Millisecond))
 	sys.FlushTelemetry()
 	events := rec.Events()
 	names := make([]string, len(sys.Partitions))

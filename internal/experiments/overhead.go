@@ -137,11 +137,11 @@ func overheadRun(spec model.SystemSpec, kind policies.Kind, dur vtime.Duration, 
 		SwitchesPerSec:     float64(c.Switches) / secs,
 		PolicyMicrosPerSec: float64(c.PolicyTime.Microseconds()) / secs,
 	}
-	if h := c.PolicyLatency; h != nil && h.Count() > 0 {
-		// Streaming histogram (constant memory): quantiles are interpolated
-		// inside fixed buckets instead of read from a raw sample slice.
-		row.P25, row.P50, row.P75, row.P99, row.Max =
-			h.Quantile(0.25), h.Quantile(0.5), h.Quantile(0.75), h.Quantile(0.99), h.Max()
+	if h := c.PolicyLatency; h != nil && h.N() > 0 {
+		// Streaming sketch (bounded memory): exact quantiles up to 1024
+		// decisions, within 1% relative error beyond.
+		qs := h.Quantiles(0.25, 0.5, 0.75, 0.99)
+		row.P25, row.P50, row.P75, row.P99, row.Max = qs[0], qs[1], qs[2], qs[3], h.Max()
 	}
 	if td, ok := pol.(*core.Policy); ok {
 		st := td.Stats()

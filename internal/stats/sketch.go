@@ -40,7 +40,9 @@ const (
 //     (unlike P² or t-digest centroids). Consequently Add order, Merge
 //     order, and Merge association all yield the identical final state:
 //     sharding a sample multiset across any number of workers and merging
-//     produces the same answers as one sequential pass.
+//     produces the same answers as one sequential pass. The one
+//     exception is Sum, a floating-point total whose merged value can
+//     differ by rounding depending on merge order.
 //
 // Once spilled to buckets, a quantile estimate returns the representative
 // value of the bucket containing the requested order statistic, giving
@@ -55,13 +57,15 @@ type Sketch struct {
 	gamma       float64 // (1+α)/(1−α)
 	invLogGamma float64 // 1/ln(γ)
 
-	// exact holds raw samples until the sketch spills; nil afterwards.
+	// exact holds raw samples until the sketch spills; empty afterwards,
+	// keeping its capacity so a Reset sketch refills without allocating.
 	exact   []float64
 	spilled bool
 
 	pos, neg sketchStore // buckets for x>0 and x<0 (mirrored)
 	zeros    int64
 	count    int64
+	sum      float64
 	min, max float64
 }
 
@@ -104,6 +108,12 @@ func (s *Sketch) Max() float64 {
 	return s.max
 }
 
+// Sum returns the running total of all observations (0 with no samples),
+// accumulated from the raw values rather than bucket representatives. It is
+// the one field whose merged value can differ by rounding depending on
+// merge order.
+func (s *Sketch) Sum() float64 { return s.sum }
+
 // Add records one observation. NaN is rejected with a panic: it has no
 // order statistic and would poison the store silently.
 func (s *Sketch) Add(x float64) {
@@ -117,6 +127,7 @@ func (s *Sketch) Add(x float64) {
 		s.max = x
 	}
 	s.count++
+	s.sum += x
 	if !s.spilled {
 		s.exact = append(s.exact, x)
 		if len(s.exact) > sketchExactCap {
@@ -134,7 +145,7 @@ func (s *Sketch) spill() {
 	for _, x := range s.exact {
 		s.bucketAdd(x, 1)
 	}
-	s.exact = nil
+	s.exact = s.exact[:0]
 	s.spilled = true
 }
 
@@ -185,6 +196,7 @@ func (s *Sketch) Merge(o *Sketch) {
 		s.max = o.max
 	}
 	s.count += o.count
+	s.sum += o.sum
 	if !s.spilled && !o.spilled && len(s.exact)+len(o.exact) <= sketchExactCap {
 		s.exact = append(s.exact, o.exact...)
 		return
@@ -292,6 +304,7 @@ func (s *Sketch) Reset() {
 	s.neg.reset()
 	s.zeros = 0
 	s.count = 0
+	s.sum = 0
 	s.min = 0
 	s.max = 0
 }

@@ -226,6 +226,9 @@ func TestSketchResetReuse(t *testing.T) {
 	if got, want := s.Quantiles(sketchQs...), fresh.Quantiles(sketchQs...); !slices.Equal(got, want) {
 		t.Errorf("reused sketch diverged from fresh: %v vs %v", got, want)
 	}
+	if s.Sum() != fresh.Sum() || s.Sum() != 1.5*1999*2000/2 {
+		t.Errorf("Sum = %v (fresh %v), want %v", s.Sum(), fresh.Sum(), 1.5*1999*2000/2)
+	}
 }
 
 func TestSketchPanics(t *testing.T) {

@@ -48,7 +48,7 @@ func NewCollector(reg *Registry, names []string) *Collector {
 	reg.Counter("decisions.idle")
 	reg.Counter("switches.total")
 	reg.Counter("inversion.windows")
-	reg.Histogram("inversion.len_us", ResponseBuckets())
+	reg.Histogram("inversion.len_us")
 	reg.Counter("busy_us.total")
 	reg.Counter("idle_us.total")
 	reg.Counter("deadline_miss.total")
@@ -56,7 +56,7 @@ func NewCollector(reg *Registry, names []string) *Collector {
 		reg.Counter("arrivals." + c.label(i))
 		reg.Counter("completions." + c.label(i))
 		reg.Counter("deadline_miss." + c.label(i))
-		reg.Histogram("response_us."+c.label(i), ResponseBuckets())
+		reg.Histogram("response_us." + c.label(i))
 		reg.Counter("busy_us." + c.label(i))
 		reg.Gauge("util." + c.label(i))
 		reg.Counter("budget.depletions." + c.label(i))
@@ -106,15 +106,14 @@ func (c *Collector) Event(e Event) {
 		c.reg.Counter("arrivals." + c.label(e.Partition)).Inc()
 	case KindTaskComplete:
 		c.reg.Counter("completions." + c.label(e.Partition)).Inc()
-		c.reg.Histogram("response_us."+c.label(e.Partition), ResponseBuckets()).
-			Observe(float64(e.Dur))
+		c.reg.Histogram("response_us." + c.label(e.Partition)).Add(float64(e.Dur))
 	case KindDeadlineMiss:
 		c.reg.Counter("deadline_miss.total").Inc()
 		c.reg.Counter("deadline_miss." + c.label(e.Partition)).Inc()
 	case KindInversionOpen:
 		c.reg.Counter("inversion.windows").Inc()
 	case KindInversionClose:
-		c.reg.Histogram("inversion.len_us", ResponseBuckets()).Observe(float64(e.Dur))
+		c.reg.Histogram("inversion.len_us").Add(float64(e.Dur))
 	case KindBudgetDeplete:
 		c.reg.Counter("budget.depletions." + c.label(e.Partition)).Inc()
 	case KindBudgetReplenish:

@@ -1,12 +1,12 @@
 // Package telemetry is the simulator's observability layer: a structured
-// stream of typed scheduler events, a metrics registry with streaming
-// fixed-bucket histograms, and exporters for the Chrome trace-event format
-// (loadable in Perfetto / chrome://tracing), JSONL event logs, and text/CSV
-// metrics dumps.
+// stream of typed scheduler events, a metrics registry whose histograms are
+// stats.Sketch quantile sketches, and exporters for the Chrome trace-event
+// format (loadable in Perfetto / chrome://tracing), JSONL event logs, and
+// text/CSV metrics dumps.
 //
-// The package deliberately depends only on vtime and the standard library so
-// every layer of the simulator (engine, servers, local schedulers, policies)
-// can emit into it without import cycles. Emission is pull-free and
+// The package deliberately depends only on vtime, stats and the standard
+// library so every layer of the simulator (engine, servers, local
+// schedulers, policies) can emit into it without import cycles. Emission is pull-free and
 // allocation-free: producers call Sink.Event with an Event value; with no
 // sink attached the producers skip the call entirely (a nil check), so the
 // telemetry-disabled hot path costs nothing.

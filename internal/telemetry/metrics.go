@@ -3,8 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
+
+	"timedice/internal/stats"
 )
 
 // Counter is a monotonically increasing integer metric.
@@ -36,174 +36,6 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Value returns the last recorded value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// Histogram is a fixed-bucket streaming histogram: constant memory no matter
-// how many samples are observed (unlike a raw sample slice, which grows with
-// the run length). Bucket i counts samples in (bounds[i-1], bounds[i]]; an
-// implicit overflow bucket catches samples above the last bound. Alongside
-// the buckets it tracks exact count, sum, min and max, so means are exact and
-// only quantiles are approximated (by linear interpolation inside a bucket).
-type Histogram struct {
-	bounds []float64 // ascending upper bounds
-	counts []int64   // len(bounds)+1; last = overflow
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-// NewHistogram builds a histogram over the given ascending bucket upper
-// bounds. It panics on an empty or unsorted bounds slice.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("telemetry: histogram needs at least one bucket bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-}
-
-// ExponentialBuckets returns n bounds start, start·factor, start·factor², …
-// start and factor must be > 0 and > 1 respectively.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic("telemetry: ExponentialBuckets needs start>0, factor>1, n>0")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n bounds start, start+width, start+2·width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n <= 0 {
-		panic("telemetry: LinearBuckets needs width>0, n>0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// LatencyBuckets returns the default bucket bounds for wall-clock policy
-// latencies in microseconds: 56 exponential buckets from 0.05 µs to ≈ 80 ms.
-func LatencyBuckets() []float64 { return ExponentialBuckets(0.05, 1.3, 56) }
-
-// ResponseBuckets returns the default bucket bounds for virtual-time
-// response times and window lengths in microseconds: 48 exponential buckets
-// from 50 µs to ≈ 10 s.
-func ResponseBuckets() []float64 { return ExponentialBuckets(50, 1.3, 48) }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the exact sum of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the exact sample mean (0 with no samples).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest sample (0 with no samples).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample (0 with no samples).
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by locating the bucket
-// containing the target rank and interpolating linearly inside it, clamped
-// to the exact observed [min, max]. With no samples it returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := q * float64(h.count)
-	var cum int64
-	for i, c := range h.counts {
-		if float64(cum+c) < target {
-			cum += c
-			continue
-		}
-		lo, hi := h.bucketEdges(i)
-		var v float64
-		if c == 0 {
-			v = hi
-		} else {
-			frac := (target - float64(cum)) / float64(c)
-			v = lo + frac*(hi-lo)
-		}
-		return math.Max(h.min, math.Min(h.max, v))
-	}
-	return h.max
-}
-
-// bucketEdges returns the interpolation range of bucket i, substituting the
-// observed min/max for the open outer edges.
-func (h *Histogram) bucketEdges(i int) (lo, hi float64) {
-	if i == 0 {
-		lo = math.Min(h.min, h.bounds[0])
-	} else {
-		lo = h.bounds[i-1]
-	}
-	if i == len(h.bounds) {
-		hi = math.Max(h.max, h.bounds[len(h.bounds)-1])
-	} else {
-		hi = h.bounds[i]
-	}
-	return lo, hi
-}
-
-// Reset zeroes the histogram, keeping its bucket layout.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-}
-
 // metricKind tags registry entries for deterministic dumps.
 type metricKind uint8
 
@@ -226,7 +58,7 @@ type Registry struct {
 	order      []metricEntry
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	histograms map[string]*stats.Sketch
 }
 
 // NewRegistry returns an empty registry.
@@ -234,7 +66,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		histograms: make(map[string]*stats.Sketch),
 	}
 }
 
@@ -260,20 +92,30 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use. It is a
+// streaming quantile sketch: exact up to 1024 samples, within 1% relative
+// value error after that, in bounded memory.
+func (r *Registry) Histogram(name string) *stats.Sketch {
 	if h, ok := r.histograms[name]; ok {
 		return h
 	}
-	h := NewHistogram(bounds)
+	h := stats.NewSketch()
 	r.histograms[name] = h
 	r.order = append(r.order, metricEntry{name, metricHistogram})
 	return h
 }
 
-// hquantiles are the quantiles reported by the dumps.
-var hquantiles = []float64{0.25, 0.5, 0.75, 0.9, 0.99}
+// histRow returns the dump fields of one histogram: count, sum, mean, min,
+// p25, p50, p75, p90, p99 and max. An empty histogram dumps zeros.
+func histRow(h *stats.Sketch) (n int64, sum float64, f [8]float64) {
+	n, sum = h.N(), h.Sum()
+	if n == 0 {
+		return n, sum, f
+	}
+	qs := h.Quantiles(0.25, 0.5, 0.75, 0.9, 0.99)
+	f = [8]float64{sum / float64(n), h.Min(), qs[0], qs[1], qs[2], qs[3], qs[4], h.Max()}
+	return n, sum, f
+}
 
 // WriteText writes a human-readable dump: one metric per line, in
 // registration order.
@@ -286,12 +128,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case metricGauge:
 			_, err = fmt.Fprintf(w, "gauge     %-40s %.6f\n", e.name, r.gauges[e.name].Value())
 		case metricHistogram:
-			h := r.histograms[e.name]
+			n, _, f := histRow(r.histograms[e.name])
 			_, err = fmt.Fprintf(w,
 				"histogram %-40s n=%d mean=%.3f min=%.3f p25=%.3f p50=%.3f p75=%.3f p90=%.3f p99=%.3f max=%.3f\n",
-				e.name, h.Count(), h.Mean(), h.Min(),
-				h.Quantile(0.25), h.Quantile(0.5), h.Quantile(0.75),
-				h.Quantile(0.9), h.Quantile(0.99), h.Max())
+				e.name, n, f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7])
 		}
 		if err != nil {
 			return err
@@ -314,11 +154,9 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		case metricGauge:
 			_, err = fmt.Fprintf(w, "gauge,%s,%.6f,,,,,,,,,,\n", e.name, r.gauges[e.name].Value())
 		case metricHistogram:
-			h := r.histograms[e.name]
+			n, sum, f := histRow(r.histograms[e.name])
 			_, err = fmt.Fprintf(w, "histogram,%s,,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-				e.name, h.Count(), h.Sum(), h.Mean(), h.Min(),
-				h.Quantile(0.25), h.Quantile(0.5), h.Quantile(0.75),
-				h.Quantile(0.9), h.Quantile(0.99), h.Max())
+				e.name, n, sum, f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7])
 		}
 		if err != nil {
 			return err

@@ -67,110 +67,47 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramExactStats(t *testing.T) {
-	h := NewHistogram(LinearBuckets(10, 10, 10)) // 10,20,...,100
-	for _, v := range []float64{5, 15, 25, 35, 250} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Sum() != 330 {
-		t.Errorf("sum = %v", h.Sum())
-	}
-	if h.Mean() != 66 {
-		t.Errorf("mean = %v", h.Mean())
-	}
-	if h.Min() != 5 || h.Max() != 250 {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	// Quantiles are clamped to the observed range even for samples in the
-	// overflow bucket.
-	if q := h.Quantile(1); q != 250 {
-		t.Errorf("p100 = %v, want 250", q)
-	}
-	if q := h.Quantile(0); q != 5 {
-		t.Errorf("p0 = %v, want 5", q)
-	}
-}
+// TestRegistryHistogramSmallDumps pins the dumps of histograms with no and
+// one sample: an empty sketch cannot answer quantiles, so it dumps zeros,
+// and a single sample is every statistic at once.
+func TestRegistryHistogramSmallDumps(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("empty")
+	r.Histogram("one").Add(2.5)
 
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	// 1000 uniform samples in [0, 1000) against 100 linear buckets: the
-	// interpolated quantiles must land within one bucket width of the truth.
-	h := NewHistogram(LinearBuckets(10, 10, 100))
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i))
+	var text strings.Builder
+	if err := r.WriteText(&text); err != nil {
+		t.Fatal(err)
 	}
-	for _, q := range []float64{0.25, 0.5, 0.75, 0.9, 0.99} {
-		want := q * 1000
-		got := h.Quantile(q)
-		if math.Abs(got-want) > 10 {
-			t.Errorf("p%v = %v, want %v ± 10", q*100, got, want)
-		}
+	want := "histogram empty" + strings.Repeat(" ", 35) +
+		" n=0 mean=0.000 min=0.000 p25=0.000 p50=0.000 p75=0.000 p90=0.000 p99=0.000 max=0.000\n" +
+		"histogram one" + strings.Repeat(" ", 37) +
+		" n=1 mean=2.500 min=2.500 p25=2.500 p50=2.500 p75=2.500 p90=2.500 p99=2.500 max=2.500\n"
+	if text.String() != want {
+		t.Errorf("text dump:\n%s\nwant:\n%s", text.String(), want)
 	}
-}
 
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("empty histogram must report zeros")
+	var csv strings.Builder
+	if err := r.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	h.Observe(1.5)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Error("reset did not clear")
+	lines := strings.Split(strings.TrimRight(csv.String(), "\n"), "\n")
+	if len(lines) != 3 ||
+		lines[1] != "histogram,empty,,0,0.000,0.000,0.000,0.000,0.000,0.000,0.000,0.000,0.000" ||
+		lines[2] != "histogram,one,,1,2.500,2.500,2.500,2.500,2.500,2.500,2.500,2.500,2.500" {
+		t.Errorf("csv dump:\n%s", csv.String())
 	}
-	h.Observe(3)
-	if h.Count() != 1 || h.Max() != 3 {
-		t.Error("histogram unusable after reset")
-	}
-}
-
-func TestBucketBuilders(t *testing.T) {
-	exp := ExponentialBuckets(1, 2, 4)
-	for i, want := range []float64{1, 2, 4, 8} {
-		if exp[i] != want {
-			t.Errorf("exp[%d] = %v, want %v", i, exp[i], want)
-		}
-	}
-	lin := LinearBuckets(0, 5, 3)
-	for i, want := range []float64{0, 5, 10} {
-		if lin[i] != want {
-			t.Errorf("lin[%d] = %v, want %v", i, lin[i], want)
-		}
-	}
-	if len(LatencyBuckets()) != 56 || len(ResponseBuckets()) != 48 {
-		t.Error("default bucket layouts changed size")
-	}
-	mustPanic(t, func() { NewHistogram(nil) })
-	mustPanic(t, func() { NewHistogram([]float64{2, 1}) })
-	mustPanic(t, func() { ExponentialBuckets(0, 2, 3) })
-	mustPanic(t, func() { LinearBuckets(0, 0, 3) })
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
 }
 
 func TestRegistryDumps(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.total").Add(7)
 	r.Gauge("b.util").Set(0.5)
-	h := r.Histogram("c.lat", []float64{1, 10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	// Get-or-create: same instance on second lookup, bounds ignored.
-	if r.Histogram("c.lat", []float64{9}) != h {
+	h := r.Histogram("c.lat")
+	h.Add(5)
+	h.Add(50)
+	// Get-or-create: same instance on second lookup.
+	if r.Histogram("c.lat") != h {
 		t.Error("histogram lookup did not return the existing metric")
 	}
 	if r.Counter("a.total").Value() != 7 {
@@ -256,10 +193,10 @@ func TestCollectorCounts(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
 	}
-	if got := reg.Histogram("inversion.len_us", ResponseBuckets()).Count(); got != 1 {
+	if got := reg.Histogram("inversion.len_us").N(); got != 1 {
 		t.Errorf("inversion.len_us count = %d, want 1", got)
 	}
-	if got := reg.Histogram("response_us.A", ResponseBuckets()).Count(); got != 1 {
+	if got := reg.Histogram("response_us.A").N(); got != 1 {
 		t.Errorf("response_us.A count = %d, want 1", got)
 	}
 	// B's slice runs [2ms, 3ms): cumulative 1 ms busy over the first 3 ms.

@@ -152,7 +152,7 @@ func WithPolicyQuantum(q Duration) SystemOption {
 }
 
 // WithLatencyMeasurement turns on per-decision wall-clock latency
-// measurement into Counters.PolicyLatency (a streaming histogram).
+// measurement into Counters.PolicyLatency (a streaming quantile sketch).
 func WithLatencyMeasurement() SystemOption {
 	return func(o *systemOptions) { o.measureLatency = true }
 }
@@ -441,11 +441,12 @@ type (
 	TelemetryRecorder = telemetry.Recorder
 	// TelemetrySummary is the roll-up Summarize computes from a stream.
 	TelemetrySummary = telemetry.Summary
-	// MetricsRegistry holds named counters, gauges, and streaming
-	// fixed-bucket histograms with deterministic text/CSV dumps.
+	// MetricsRegistry holds named counters, gauges, and streaming quantile
+	// histograms with deterministic text/CSV dumps.
 	MetricsRegistry = telemetry.Registry
-	// MetricsHistogram is a constant-memory streaming histogram.
-	MetricsHistogram = telemetry.Histogram
+	// MetricsHistogram is the registry's histogram: a bounded-memory
+	// quantile sketch, exact up to 1024 samples and within 1% after that.
+	MetricsHistogram = stats.Sketch
 	// MetricsCollector aggregates the event stream into a MetricsRegistry.
 	MetricsCollector = telemetry.Collector
 )
