@@ -51,6 +51,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be positive, or 0 for one worker per CPU", *parallel)
+	}
 	sc.Seed = *seed
 	sc.Parallel = *parallel
 	sc.Stream = *stream

@@ -13,3 +13,13 @@ func TestUnknownScaleRejected(t *testing.T) {
 		t.Fatalf("run(-scale bogus) = %v, want an unknown-scale error", err)
 	}
 }
+
+// TestNegativeParallelRejected: -parallel takes a worker count, with 0
+// meaning one per CPU. A negative value fails before any trial runs instead
+// of silently meaning one worker per CPU.
+func TestNegativeParallelRejected(t *testing.T) {
+	err := run([]string{"-parallel", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "-parallel -1") {
+		t.Fatalf("run(-parallel -1) = %v, want a -parallel error", err)
+	}
+}

@@ -48,6 +48,9 @@ func run(args []string) error {
 	if *windows <= 0 {
 		return fmt.Errorf("-windows %d: must be positive", *windows)
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be positive, or 0 for one worker per CPU", *parallel)
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}

@@ -22,3 +22,17 @@ func TestNonPositiveWindowsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeParallelRejected: -parallel takes a worker count, with 0
+// meaning one per CPU. A negative value fails before the output directory is
+// created instead of silently meaning one worker per CPU.
+func TestNegativeParallelRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "figures")
+	err := run([]string{"-parallel", "-1", "-out", out})
+	if err == nil || !strings.Contains(err.Error(), "-parallel -1") {
+		t.Fatalf("run(-parallel -1) = %v, want a -parallel error", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("run(-parallel -1) created %s", out)
+	}
+}

@@ -40,6 +40,9 @@ func run(args []string) error {
 	if *secs <= 0 {
 		return fmt.Errorf("-secs %d: must be positive", *secs)
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be positive, or 0 for one worker per CPU", *parallel)
+	}
 	ledger, srv, err := obsFlags.Start("overheadbench", fs, nil)
 	if err != nil {
 		return err

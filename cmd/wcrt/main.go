@@ -43,6 +43,9 @@ func run(args []string) error {
 	if *empirical < 0 {
 		return fmt.Errorf("-empirical %d: must be positive, or 0 for the analytic table only", *empirical)
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be positive, or 0 for one worker per CPU", *parallel)
+	}
 	ledger, srv, err := obsFlags.Start("wcrt", fs, nil)
 	if err != nil {
 		return err

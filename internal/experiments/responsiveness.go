@@ -253,19 +253,21 @@ type Table03Result struct {
 }
 
 // Table03 measures the prototype self-driving applications' response times
-// under NoRandom and TimeDice (the logger is excluded, as in the paper).
+// under NoRandom and TimeDice (the logger is excluded, as in the paper). The
+// two runs fan out across sc.Parallel workers.
 func Table03(sc Scale, w io.Writer) (*Table03Result, error) {
 	sc = sc.withDefaults()
 	spec := carSpec()
 	dur := vtime.Duration(sc.SimSeconds) * vtime.Second
-	nr, err := RunResponsiveness(spec, policies.NoRandom, dur, sc.Seed, ResponsivenessOptions{Jitter: 0.2, KeepSamples: 1})
+	opts := ResponsivenessOptions{Jitter: 0.2, KeepSamples: 1}
+	runs, err := runner.Map(sc.Parallel, []policies.Kind{policies.NoRandom, policies.TimeDiceW},
+		func(_ int, kind policies.Kind) (*ResponsivenessResult, error) {
+			return RunResponsiveness(spec, kind, dur, sc.Seed, opts)
+		})
 	if err != nil {
 		return nil, err
 	}
-	td, err := RunResponsiveness(spec, policies.TimeDiceW, dur, sc.Seed, ResponsivenessOptions{Jitter: 0.2, KeepSamples: 1})
-	if err != nil {
-		return nil, err
-	}
+	nr, td := runs[0], runs[1]
 	labels := map[string]string{
 		"behavior": "Behavior control",
 		"vision":   "Vision-based steering",
