@@ -37,14 +37,12 @@ import (
 	"time"
 
 	"timedice/internal/check"
-	"timedice/internal/engine"
 	"timedice/internal/experiments/runner"
 	"timedice/internal/gen"
 	"timedice/internal/obs"
 	"timedice/internal/policies"
 	"timedice/internal/prof"
 	"timedice/internal/rng"
-	"timedice/internal/vtime"
 )
 
 type config struct {
@@ -337,8 +335,7 @@ func campaign(cfg config, w io.Writer) int {
 					return trial{}, fmt.Errorf("scenario %d (seed %#x): %w", i, seed, err)
 				}
 				prog.AddCache(st.Policy.CacheHits, st.Policy.CacheMisses)
-				prog.AddEngine(st.Counters.Decisions, st.Counters.ArenaBytesTouched,
-					st.Counters.FixpointIters, st.Counters.InterferenceTerms)
+				prog.AddEngine(&st.Counters)
 				vs, total := suite.Violations()
 				if i+1 == cfg.injectFailure {
 					vs = append(vs, check.Violation{Oracle: "injected", Msg: "forced failure (test hook)"})
@@ -456,7 +453,7 @@ func dumpViolationBundle(cfg config, cs *campaignState) {
 		Partitions:    partitionNames(sc),
 		LiveDigest:    cs.FirstDigest,
 		ReplayDigest:  suite.Digest(),
-		Counters:      counterMap(st.Counters),
+		Counters:      st.Counters.Values(),
 	}
 	info.Scenario, _ = gen.Encode(sc)
 	// The pre-violation snapshot: the last step boundary before the first
@@ -517,17 +514,4 @@ func partitionNames(sc gen.Scenario) []string {
 		names[i] = p.Name
 	}
 	return names
-}
-
-func counterMap(c engine.Counters) map[string]int64 {
-	return map[string]int64{
-		"decisions":        c.Decisions,
-		"switches":         c.Switches,
-		"idleDecisions":    c.IdleDecisions,
-		"busyMicros":       int64(c.BusyTime / vtime.Microsecond),
-		"idleMicros":       int64(c.IdleTime / vtime.Microsecond),
-		"deadlineMisses":   c.DeadlineMisses,
-		"inversionWindows": c.InversionWindows,
-		"minAdvances":      c.MinAdvances,
-	}
 }

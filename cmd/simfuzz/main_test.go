@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"timedice/internal/engine"
 )
 
 // TestCampaignParallelInvariance is the CLI's determinism contract: the full
@@ -105,14 +107,15 @@ func TestForcedViolationBundle(t *testing.T) {
 	}
 
 	var meta struct {
-		Reason       string   `json:"reason"`
-		TrialIndex   int      `json:"trialIndex"`
-		LiveDigest   string   `json:"liveDigest"`
-		ReplayDigest string   `json:"replayDigest"`
-		Detail       []string `json:"detail"`
-		Files        []string `json:"files"`
-		SnapshotTime int64    `json:"snapshotTimeMicros"`
-		PrefixDigest string   `json:"prefixDigest"`
+		Reason       string           `json:"reason"`
+		TrialIndex   int              `json:"trialIndex"`
+		LiveDigest   string           `json:"liveDigest"`
+		ReplayDigest string           `json:"replayDigest"`
+		Detail       []string         `json:"detail"`
+		Files        []string         `json:"files"`
+		SnapshotTime int64            `json:"snapshotTimeMicros"`
+		PrefixDigest string           `json:"prefixDigest"`
+		Counters     map[string]int64 `json:"counters"`
 	}
 	mb, err := os.ReadFile(filepath.Join(bundle, "meta.json"))
 	if err != nil {
@@ -138,6 +141,19 @@ func TestForcedViolationBundle(t *testing.T) {
 	}
 	if meta.PrefixDigest == "" {
 		t.Fatal("meta.json lacks prefixDigest for the embedded snapshot")
+	}
+	// Every State and Work counter row rides along, and nothing else.
+	want := 0
+	for _, row := range engine.CounterRows {
+		if _, ok := meta.Counters[row.Name]; ok != (row.Class != engine.Host) {
+			t.Errorf("meta.json counters: row %q present=%v, want %v", row.Name, ok, !ok)
+		}
+		if row.Class != engine.Host {
+			want++
+		}
+	}
+	if len(meta.Counters) != want {
+		t.Errorf("meta.json has %d counters %v, want %d", len(meta.Counters), meta.Counters, want)
 	}
 }
 

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"timedice/internal/engine"
+	"timedice/internal/model"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
 	"timedice/internal/vtime"
 	"timedice/internal/workload"
 )
 
-// buildSystem assembles the Table I base system under the given policy with
-// no trace hook and no telemetry sink — the nil-sink hot path.
-func buildSystem(tb testing.TB, kind policies.Kind) *engine.System {
+// buildKind builds spec under the policy kind (default options) with the
+// given seed, no trace hook and no telemetry sink.
+func buildKind(tb testing.TB, spec model.SystemSpec, kind policies.Kind, seed uint64) *engine.System {
 	tb.Helper()
-	built, err := workload.TableIBase().Build()
+	built, err := spec.Build()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -23,11 +24,17 @@ func buildSystem(tb testing.TB, kind policies.Kind) *engine.System {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(1))
+	sys, err := engine.New(built.Partitions, pol, rng.New(seed))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return sys
+}
+
+// buildSystem assembles the Table I base system under the given policy with
+// no trace hook and no telemetry sink — the nil-sink hot path.
+func buildSystem(tb testing.TB, kind policies.Kind) *engine.System {
+	return buildKind(tb, workload.TableIBase(), kind, 1)
 }
 
 // BenchmarkEngineStep measures the steady-state stepping cost of the nil-sink
@@ -111,20 +118,7 @@ func TestRunnableScratchReuse(t *testing.T) {
 // buildSparse assembles the n-partition sparse-activity system (three hot
 // partitions, n−3 second-scale cold ones) under NoRandom.
 func buildSparse(tb testing.TB, n int) *engine.System {
-	tb.Helper()
-	built, err := workload.Sparse(n).Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pol, err := policies.Build(policies.NoRandom, built.Partitions, policies.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sys
+	return buildKind(tb, workload.Sparse(n), policies.NoRandom, 1)
 }
 
 // BenchmarkEngineStepScale sweeps the partition axis on the sparse-activity
@@ -174,20 +168,7 @@ func BenchmarkEngineStepScale(b *testing.B) {
 // hot, staggered releases, long candidate lists) under TimeDiceW, the policy
 // whose Algorithm-3 decision kernel the workload is built to stress.
 func buildDense(tb testing.TB, n int) *engine.System {
-	tb.Helper()
-	built, err := workload.Dense(n).Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pol, err := policies.Build(policies.TimeDiceW, built.Partitions, policies.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sys
+	return buildKind(tb, workload.Dense(n), policies.TimeDiceW, 1)
 }
 
 // BenchmarkEngineStepDense is BenchmarkEngineStepScale's heavy-inversion

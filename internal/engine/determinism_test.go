@@ -8,7 +8,6 @@ import (
 	"timedice/internal/engine"
 	"timedice/internal/model"
 	"timedice/internal/policies"
-	"timedice/internal/rng"
 	"timedice/internal/telemetry"
 	"timedice/internal/vtime"
 )
@@ -54,18 +53,7 @@ var tieSpecs = []struct {
 // telemetry stream.
 func tieRun(t *testing.T, spec model.SystemSpec, kind policies.Kind, seed uint64, dur vtime.Duration, scan bool) []byte {
 	t.Helper()
-	built, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := policies.Build(kind, built.Partitions, policies.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := engine.New(built.Partitions, pol, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := buildKind(t, spec, kind, seed)
 	rec := telemetry.NewRecorder()
 	sys.AttachTelemetry(rec)
 	runTo(sys, vtime.Time(dur), scan)
@@ -112,18 +100,7 @@ func TestTieBreakDeterminism(t *testing.T) {
 // produced; the indexed path sorts its due set to preserve it.
 func TestTieBreakOrderPinned(t *testing.T) {
 	for _, scan := range []bool{false, true} {
-		built, err := tieSpecs[0].spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := policies.Build(policies.NoRandom, built.Partitions, policies.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := engine.New(built.Partitions, pol, rng.New(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := buildKind(t, tieSpecs[0].spec, policies.NoRandom, 1)
 		var segs []engine.Segment
 		sys.TraceFn = func(s engine.Segment) { segs = append(segs, s) }
 		runTo(sys, vtime.Time(vtime.MS(16)), scan)

@@ -69,7 +69,10 @@ type Segment struct {
 }
 
 // Counters aggregates the schedule statistics reported in Table V and
-// Fig. 17 of the paper.
+// Fig. 17 of the paper. Every integer field has exactly one row in
+// CounterRows, whose class (State, Work or Host) decides what snapshots,
+// Fork, merges, live exposition and the differentials do with it: a new
+// counter is one field here plus one row there.
 type Counters struct {
 	Decisions     int64          // global scheduling decisions made
 	Switches      int64          // decisions whose outcome differed from the previous one
@@ -79,7 +82,7 @@ type Counters struct {
 	// PolicyTime and PolicySamples accumulate the wall-clock time inside Pick
 	// (Fig. 17) and the number of timed calls. They are maintained only when
 	// System.MeasureLatency is set — the unmeasured hot path makes no clock
-	// syscalls at all — and are zero otherwise.
+	// syscalls at all — and are zero otherwise. Host rows.
 	PolicyTime    time.Duration
 	PolicySamples int64
 	// ShardMergeTime always reads zero: the engine steps every system on one
@@ -141,9 +144,9 @@ type Counters struct {
 	// while InterferenceTerms is not: the reference re-sums every charged
 	// stream each iteration and the incremental kernel advances only the
 	// streams whose next arrival was crossed. Both depend on verdict-cache
-	// warmth (a cache hit skips the fixpoint entirely), so like the
-	// wall-clock measurements they are excluded from the snapshot/fork
-	// digest contract and start at zero after Restore/Fork.
+	// warmth (a cache hit skips the fixpoint entirely), so they are Work
+	// rows: outside the snapshot/fork digest contract, zero after
+	// Restore/Fork.
 	FixpointIters     int64
 	InterferenceTerms int64
 }
@@ -887,15 +890,7 @@ func (s *System) Reset() {
 	}
 	s.now = 0
 	s.running = -1
-	// The latency sketch survives (emptied): dropping it would force the
-	// next measured Run to reallocate, breaking the allocation-free reuse
-	// contract. A reset sketch is indistinguishable from a fresh one.
-	h := s.Counters.PolicyLatency
-	s.Counters = Counters{}
-	if h != nil {
-		h.Reset()
-		s.Counters.PolicyLatency = h
-	}
+	s.setCounters(Counters{})
 	s.invOpen = false
 	s.invStart = 0
 	s.epoch = 0

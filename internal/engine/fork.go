@@ -28,8 +28,9 @@ type PolicyForker interface {
 
 // Fork returns an independent deep copy of the system at the current step
 // boundary: cloned partitions (servers, schedulers, pending jobs), a cloned
-// RNG position, copied counters, and rebuilt index structures sharing no
-// mutable memory with the parent. Running the fork to a horizon is
+// RNG position, the State counter rows (Work and Host rows start at zero,
+// see CounterClass), and rebuilt index structures sharing no mutable memory
+// with the parent. Running the fork to a horizon is
 // digest-identical to running the parent there; the two only diverge through
 // injected differences (reseeding the fork's Rand, swapping its Policy).
 //
@@ -54,7 +55,7 @@ func (s *System) Fork() *System {
 		Policy:         pol,
 		Rand:           s.Rand.Clone(),
 		MeasureLatency: s.MeasureLatency,
-		Counters:       s.Counters,
+		Counters:       s.Counters.Only(State),
 		now:            s.now,
 		running:        s.running,
 		perPart:        slices.Clone(s.perPart),
@@ -74,15 +75,6 @@ func (s *System) Fork() *System {
 		invOpen:        s.invOpen,
 		invStart:       s.invStart,
 	}
-	// Wall-clock measurements are host observations, not simulation state.
-	f.Counters.PolicyTime = 0
-	f.Counters.PolicySamples = 0
-	f.Counters.PolicyLatency = nil
-	// Decision-cost proxies depend on verdict-cache warmth, and the fork's
-	// policy starts with a cold cache (ForkPolicy); its observation starts
-	// fresh, mirroring Restore.
-	f.Counters.FixpointIters = 0
-	f.Counters.InterferenceTerms = 0
 	// Rebuild the heap from the copied keys (layout among equal keys is
 	// unobservable) and the ready set from the parent's bits.
 	for i, t := range f.nextEv {

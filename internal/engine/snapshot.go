@@ -10,7 +10,7 @@ package engine
 // What is captured vs recomputed:
 //
 //   - Captured verbatim: the clock, the last pick, the epoch/stamps of the
-//     verdict cache, the deterministic counters, the inversion-window edge
+//     verdict cache, the State counter rows, the inversion-window edge
 //     state, the RNG position, per-partition consumed time, the nextEv
 //     cache, and the full server/local-scheduler state (budgets,
 //     replenishment chunk queues, pending job rings, arrival anchors, the
@@ -63,24 +63,6 @@ var snapshotMagic = [8]byte{'T', 'D', 'I', 'C', 'E', 's', 'n', 'p'}
 // MiB), but small enough that hostile input cannot balloon memory.
 const maxSnapshotBytes = 64 << 20
 
-// snapshotCounters lists the Counters fields a snapshot carries: the
-// deterministic ones. The wall-clock measurements (PolicyTime,
-// PolicySamples, PolicyLatency) are observations of the host, not simulation
-// state, and are excluded from both the snapshot and the digest-identity
-// contract. The decision-cost proxies (FixpointIters, InterferenceTerms) are
-// excluded for a subtler reason: Restore flushes the policy's verdict cache
-// (exactly — the schedule is unchanged), so the restored run recomputes
-// fixpoints the straight-line run served from cache and the proxies diverge
-// by design. Like the wall-clock fields they restart at zero after Restore.
-func snapshotCounters(c *Counters) [10]int64 {
-	return [10]int64{
-		c.Decisions, c.Switches, c.IdleDecisions,
-		int64(c.BusyTime), int64(c.IdleTime),
-		c.DeadlineMisses, c.InversionWindows, int64(c.InversionTime),
-		c.MinAdvances, c.ArenaBytesTouched,
-	}
-}
-
 // Snapshot writes the system's complete dynamic state to w in the versioned
 // binary format. Call it at a step boundary (between Step/Run calls); the
 // state written is exactly what Restore needs to continue the run
@@ -108,9 +90,10 @@ func (s *System) appendSnapshot(b []byte) []byte {
 	b = appendI64(b, int64(s.now))
 	b = appendI64(b, int64(s.running))
 	b = appendU64(b, s.epoch)
-	counters := snapshotCounters(&s.Counters)
-	for _, v := range counters {
-		b = appendI64(b, v)
+	for _, row := range CounterRows {
+		if row.Class == State {
+			b = appendI64(b, *row.Field(&s.Counters))
+		}
 	}
 	b = appendU64(b, boolU64(s.invOpen))
 	b = appendI64(b, int64(s.invStart))
@@ -261,7 +244,7 @@ type snapState struct {
 	now      vtime.Time
 	running  int
 	epoch    uint64
-	counters [10]int64
+	counters Counters // State rows only
 	invOpen  bool
 	invStart vtime.Time
 	rand     [4]uint64
@@ -284,8 +267,9 @@ type snapPart struct {
 // unchanged. On success the policy's decision state is flushed
 // (PolicyResetter), the hot arenas, ready bitset, and event heap are rebuilt
 // from the restored state, and continuing the run is digest-identical to the
-// run the snapshot was taken from. The telemetry sink, TraceFn, and stepping
-// mode are not part of the snapshot; configure them as usual around Restore.
+// run the snapshot was taken from. The Work and Host counter rows restart at
+// zero (see CounterClass). The telemetry sink, TraceFn, and stepping mode
+// are not part of the snapshot; configure them as usual around Restore.
 func (s *System) Restore(r io.Reader) error {
 	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+1))
 	if err != nil {
@@ -325,8 +309,10 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 	st.now = r.time()
 	running := r.i64()
 	st.epoch = r.u64()
-	for i := range st.counters {
-		st.counters[i] = r.i64()
+	for _, row := range CounterRows {
+		if row.Class == State {
+			*row.Field(&st.counters) = r.i64()
+		}
 	}
 	st.invOpen = r.boolean()
 	st.invStart = r.time()
@@ -343,9 +329,9 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 		return nil, fmt.Errorf("engine: snapshot running index %d out of range", running)
 	}
 	st.running = int(running)
-	for i, v := range st.counters {
-		if v < 0 {
-			return nil, fmt.Errorf("engine: snapshot counter %d is negative (%d)", i, v)
+	for _, row := range CounterRows {
+		if v := *row.Field(&st.counters); v < 0 {
+			return nil, fmt.Errorf("engine: snapshot counter %s is negative (%d)", row.Name, v)
 		}
 	}
 	if st.invStart < 0 || st.invStart > st.now {
@@ -409,13 +395,13 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 	}
 	// Cross-field invariants the engine maintains: per-partition consumed
 	// time sums to BusyTime, and busy + idle tile the clock exactly.
-	if perPartSum != vtime.Duration(st.counters[3]) {
+	if perPartSum != st.counters.BusyTime {
 		return nil, fmt.Errorf("engine: snapshot per-partition time sums to %v, busy counter is %v",
-			perPartSum, vtime.Duration(st.counters[3]))
+			perPartSum, st.counters.BusyTime)
 	}
-	if vtime.Duration(st.counters[3])+vtime.Duration(st.counters[4]) != vtime.Duration(st.now) {
+	if st.counters.BusyTime+st.counters.IdleTime != vtime.Duration(st.now) {
 		return nil, fmt.Errorf("engine: snapshot busy+idle (%v) does not tile the clock (%v)",
-			vtime.Duration(st.counters[3])+vtime.Duration(st.counters[4]), vtime.Duration(st.now))
+			st.counters.BusyTime+st.counters.IdleTime, vtime.Duration(st.now))
 	}
 	return st, nil
 }
@@ -439,23 +425,7 @@ func (s *System) applySnapshot(st *snapState) error {
 	s.now = st.now
 	s.running = st.running
 	s.epoch = st.epoch
-	h := s.Counters.PolicyLatency
-	s.Counters = Counters{
-		Decisions:         st.counters[0],
-		Switches:          st.counters[1],
-		IdleDecisions:     st.counters[2],
-		BusyTime:          vtime.Duration(st.counters[3]),
-		IdleTime:          vtime.Duration(st.counters[4]),
-		DeadlineMisses:    st.counters[5],
-		InversionWindows:  st.counters[6],
-		InversionTime:     vtime.Duration(st.counters[7]),
-		MinAdvances:       st.counters[8],
-		ArenaBytesTouched: st.counters[9],
-	}
-	if h != nil {
-		h.Reset()
-		s.Counters.PolicyLatency = h
-	}
+	s.setCounters(st.counters)
 	s.invOpen = st.invOpen
 	s.invStart = st.invStart
 	s.evq.Reset()

@@ -26,24 +26,12 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/golden-v*.snapshot")
 
-// deterministicCounters extracts the Counters fields the snapshot/fork
-// digest-identity contract covers (everything except the wall-clock
-// measurements).
-func deterministicCounters(c engine.Counters) [10]int64 {
-	return [10]int64{
-		c.Decisions, c.Switches, c.IdleDecisions,
-		int64(c.BusyTime), int64(c.IdleTime),
-		c.DeadlineMisses, c.InversionWindows, int64(c.InversionTime),
-		c.MinAdvances, c.ArenaBytesTouched,
-	}
-}
-
 // snapshotRoundTrip runs sc straight-line while capturing a snapshot at a
 // seed-derived mid-run step boundary, restores the snapshot into a freshly
 // built system, runs both to the horizon, and compares: the restored
 // snapshot must re-encode byte-identically (canonical decode), the
 // straight-line digest must equal prefix-digest ⊕ restored suffix, and the
-// deterministic counters must match exactly. A non-empty mismatch string
+// State counter rows must match exactly. A non-empty mismatch string
 // describes the first divergence; err reports setup problems (an unbuildable
 // scenario, a failed restore).
 func snapshotRoundTrip(sc gen.Scenario) (mismatch string, err error) {
@@ -102,8 +90,8 @@ func snapshotRoundTrip(sc gen.Scenario) (mismatch string, err error) {
 	if want != got {
 		return fmt.Sprintf("event digest: straight %#016x, snapshot+restore %#016x", want, got), nil
 	}
-	if sc, rc := deterministicCounters(sys.Counters), deterministicCounters(restored.Counters); sc != rc {
-		return fmt.Sprintf("counters: straight %v, restored %v", sc, rc), nil
+	if sc, rc := sys.Counters.Only(engine.State), restored.Counters.Only(engine.State); sc != rc {
+		return fmt.Sprintf("counters: straight %+v, restored %+v", sc, rc), nil
 	}
 	return "", nil
 }

@@ -93,19 +93,6 @@ func runReference(sc Scenario) (*check.Suite, RunStats, error) {
 	return suite, runStats(sys), nil
 }
 
-// referenceCounters projects engine.Counters to what a run under refPolicy
-// must reproduce: everything except the Algorithm-3 work tallies, which a
-// cache hit or a reused search skips and the reference never does, and the
-// wall-clock measurements, which are host observations.
-func referenceCounters(c engine.Counters) engine.Counters {
-	c.FixpointIters = 0
-	c.InterferenceTerms = 0
-	c.PolicyTime = 0
-	c.PolicySamples = 0
-	c.PolicyLatency = nil
-	return c
-}
-
 // decisionTallies projects core.Stats to the tallies refPolicy counts too.
 func decisionTallies(s core.Stats) core.Stats {
 	return core.Stats{
@@ -138,7 +125,9 @@ func referenceMismatch(sc Scenario) (string, error) {
 	if pv != rv {
 		return fmt.Sprintf("%d violations, reference %d", pv, rv), nil
 	}
-	if pc, rc := referenceCounters(pst.Counters), referenceCounters(rst.Counters); pc != rc {
+	// The Work rows are left out: a cache hit or a reused search skips
+	// Algorithm-3 work the uncached reference always runs.
+	if pc, rc := pst.Counters.Only(engine.State), rst.Counters.Only(engine.State); pc != rc {
 		return fmt.Sprintf("counter divergence:\npolicy:    %+v\nreference: %+v", pc, rc), nil
 	}
 	if pt, rt := decisionTallies(pst.Policy), rst.Policy; pt != rt {
@@ -151,8 +140,8 @@ func referenceMismatch(sc Scenario) (string, error) {
 // TimeDice decision path: over the generated TimeDice corpus, core.Policy —
 // the engine's arenas and ready bitset, the verdict cache, whole-search
 // reuse and the divisionless kernel — must reproduce refPolicy's run: the
-// same event-stream digest, oracle verdicts, engine counters (see
-// referenceCounters) and decision tallies. Any unsound cache hit or reused
+// same event-stream digest, oracle verdicts, State counter rows and decision
+// tallies. Any unsound cache hit or reused
 // search, stale arena entry or ready bit, or kernel drift flips at least one
 // decision and shows up as a digest mismatch; a bookkeeping slip in Pick
 // shows up as a tally mismatch even when the schedule happens to agree.

@@ -46,26 +46,14 @@ func (s *System) Digest() uint64 {
 	return h
 }
 
-// CombinedCounters sums the deterministic scheduler counters across cores —
-// the aggregate the parallel-vs-sequential oracle compares alongside the
-// digest. Wall-clock fields (PolicyTime, PolicySamples, ShardMergeTime,
-// PolicyLatency) are host observations, not simulation outputs, and are
-// excluded (left zero/nil).
+// CombinedCounters sums the State and Work counter rows across cores (see
+// engine.CounterClass) — the aggregate the parallel-vs-sequential oracle
+// compares alongside the digest. Host rows and PolicyLatency are left
+// zero/nil.
 func (s *System) CombinedCounters() engine.Counters {
 	var out engine.Counters
 	for _, c := range s.Cores {
-		out.Decisions += c.Counters.Decisions
-		out.Switches += c.Counters.Switches
-		out.IdleDecisions += c.Counters.IdleDecisions
-		out.BusyTime += c.Counters.BusyTime
-		out.IdleTime += c.Counters.IdleTime
-		out.DeadlineMisses += c.Counters.DeadlineMisses
-		out.InversionWindows += c.Counters.InversionWindows
-		out.InversionTime += c.Counters.InversionTime
-		out.MinAdvances += c.Counters.MinAdvances
-		out.ArenaBytesTouched += c.Counters.ArenaBytesTouched
-		out.FixpointIters += c.Counters.FixpointIters
-		out.InterferenceTerms += c.Counters.InterferenceTerms
+		out.Merge(&c.Counters)
 	}
 	return out
 }

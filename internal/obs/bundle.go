@@ -48,7 +48,8 @@ type BundleInfo struct {
 	// (the determinism cross-check a matching pair certifies).
 	LiveDigest   uint64
 	ReplayDigest uint64
-	// Counters are headline numbers (decisions, misses, busy/idle µs, ...).
+	// Counters are the run's engine counters keyed by row name: the State
+	// and Work rows of engine.CounterRows (engine.Counters.Values).
 	Counters map[string]int64
 	// Snapshot, when non-nil, is an engine.Snapshot taken at the last step
 	// boundary before the violation (gen.CheckpointBeforeViolation), written

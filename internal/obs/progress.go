@@ -7,11 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"timedice/internal/engine"
 	"timedice/internal/stats"
 )
 
 // Progress is the live state of one campaign, updated by trial workers with
-// atomic counters and read concurrently by the /metrics and /statusz
+// atomic counters (and, for the trial-latency sketch and the engine totals,
+// under a mutex) and read concurrently by the /metrics and /statusz
 // handlers and the -progress reporter. The zero value is unusable; build
 // one with NewProgress.
 //
@@ -29,13 +31,10 @@ type Progress struct {
 	events     atomic.Int64
 	cacheHits  atomic.Int64
 	cacheMiss  atomic.Int64
-	arenaBytes atomic.Int64
-	engSteps   atomic.Int64
-	fixIters   atomic.Int64
-	interfTerm atomic.Int64
 
 	mu     sync.Mutex
-	trialS *stats.Sketch // per-trial wall-clock seconds
+	trialS *stats.Sketch   // per-trial wall-clock seconds
+	engine engine.Counters // campaign totals of the State and Work rows
 }
 
 // NewProgress starts the campaign clock for tool with the given planned
@@ -66,20 +65,13 @@ func (p *Progress) AddCache(hits, misses int64) {
 	p.cacheMiss.Add(misses)
 }
 
-// AddEngine folds one trial's engine-side hot-path tallies into the campaign
-// totals: steps (= scheduling decisions), the deterministic cache-traffic
-// proxy engine.Counters.ArenaBytesTouched, and the decision-cost proxies
-// engine.Counters.FixpointIters/InterferenceTerms. The arena-bytes-per-step
-// ratio is the gauge /metrics exposes — the live view of the
-// BenchmarkEngineStepScale B/qpart-step story — and the interference-term
-// total plays the same role for the decision kernel: the scan-vs-indexed gap
-// in timedice_engine_interference_terms_total is the kernel's algorithmic
-// savings, live.
-func (p *Progress) AddEngine(steps, arenaBytes, fixpointIters, interferenceTerms int64) {
-	p.engSteps.Add(steps)
-	p.arenaBytes.Add(arenaBytes)
-	p.fixIters.Add(fixpointIters)
-	p.interfTerm.Add(interferenceTerms)
+// AddEngine folds one trial's engine counters into the campaign totals: the
+// State and Work rows of engine.CounterRows, which /statusz publishes as its
+// engine object and /metrics as timedice_engine_<row>_total families.
+func (p *Progress) AddEngine(c *engine.Counters) {
+	p.mu.Lock()
+	p.engine.Merge(c)
+	p.mu.Unlock()
 }
 
 // Status is one consistent-enough snapshot of a running campaign: the
@@ -96,16 +88,12 @@ type Status struct {
 	CacheHits     int64   `json:"cacheHits"`
 	CacheMisses   int64   `json:"cacheMisses"`
 	CacheHitRatio float64 `json:"cacheHitRatio"`
-	EngineSteps   int64   `json:"engineSteps"`
-	ArenaBytes    int64   `json:"arenaBytes"`
+	// Engine holds the campaign totals of the engine's State and Work
+	// counter rows, keyed by row name (engine.CounterRows).
+	Engine map[string]int64 `json:"engine"`
 	// ArenaBytesPerStep is the campaign-wide mean of the engine's
 	// deterministic cache-traffic proxy (hot-state bytes touched per step).
 	ArenaBytesPerStep float64 `json:"arenaBytesPerStep"`
-	// FixpointIters and InterferenceTerms are the campaign totals of the
-	// Algorithm-3 decision-cost proxies (engine.Counters); their per-step
-	// means quantify how much busy-interval work each decision costs.
-	FixpointIters     int64   `json:"fixpointIters"`
-	InterferenceTerms int64   `json:"interferenceTerms"`
 	ElapsedSeconds    float64 `json:"elapsedSeconds"`
 	// RatePerSecond is completed trials per elapsed second.
 	RatePerSecond float64 `json:"ratePerSecond"`
@@ -121,25 +109,18 @@ type Status struct {
 // Snapshot assembles the current Status.
 func (p *Progress) Snapshot() Status {
 	s := Status{
-		Tool:              p.tool,
-		Total:             p.total,
-		Done:              p.done.Load(),
-		InFlight:          p.inflight.Load(),
-		Violations:        p.violations.Load(),
-		Events:            p.events.Load(),
-		CacheHits:         p.cacheHits.Load(),
-		CacheMisses:       p.cacheMiss.Load(),
-		EngineSteps:       p.engSteps.Load(),
-		ArenaBytes:        p.arenaBytes.Load(),
-		FixpointIters:     p.fixIters.Load(),
-		InterferenceTerms: p.interfTerm.Load(),
-		ETASeconds:        -1,
+		Tool:        p.tool,
+		Total:       p.total,
+		Done:        p.done.Load(),
+		InFlight:    p.inflight.Load(),
+		Violations:  p.violations.Load(),
+		Events:      p.events.Load(),
+		CacheHits:   p.cacheHits.Load(),
+		CacheMisses: p.cacheMiss.Load(),
+		ETASeconds:  -1,
 	}
 	if l := s.CacheHits + s.CacheMisses; l > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(l)
-	}
-	if s.EngineSteps > 0 {
-		s.ArenaBytesPerStep = float64(s.ArenaBytes) / float64(s.EngineSteps)
 	}
 	s.ElapsedSeconds = time.Since(p.start).Seconds()
 	if s.ElapsedSeconds > 0 {
@@ -149,6 +130,10 @@ func (p *Progress) Snapshot() Status {
 		s.ETASeconds = float64(p.total-s.Done) / s.RatePerSecond
 	}
 	p.mu.Lock()
+	s.Engine = p.engine.Values()
+	if steps := s.Engine["decisions"]; steps > 0 {
+		s.ArenaBytesPerStep = float64(s.Engine["arena_bytes"]) / float64(steps)
+	}
 	if p.trialS.N() > 0 {
 		q := p.trialS.Quantiles(0.5, 0.9, 0.99)
 		s.TrialSecondsP50, s.TrialSecondsP90, s.TrialSecondsP99 = q[0], q[1], q[2]

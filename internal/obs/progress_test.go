@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"timedice/internal/engine"
 	"timedice/internal/obs"
 )
 
@@ -75,6 +76,7 @@ func TestProgressConcurrent(t *testing.T) {
 			for i := 0; i < 125; i++ {
 				p.TrialStart()
 				p.AddCache(2, 1)
+				p.AddEngine(&engine.Counters{Decisions: 3, BusyTime: 5, PolicySamples: 7})
 				p.TrialDone(10, 0, time.Microsecond)
 				_ = p.Snapshot()
 			}
@@ -84,6 +86,10 @@ func TestProgressConcurrent(t *testing.T) {
 	s := p.Snapshot()
 	if s.Done != 1000 || s.InFlight != 0 || s.Events != 10000 {
 		t.Fatalf("after concurrent updates: %+v", s)
+	}
+	// Host rows (policy_samples) are not campaign totals.
+	if e := s.Engine; e["decisions"] != 3000 || e["busy_us"] != 5000 || e["policy_samples"] != 0 {
+		t.Fatalf("engine totals after concurrent updates: %v", e)
 	}
 }
 

@@ -9,14 +9,16 @@ import (
 	"runtime"
 	"time"
 
+	"timedice/internal/engine"
 	"timedice/internal/experiments/runner"
 )
 
 // Server is the live-exposition endpoint behind the -http flag. It serves
 //
-//	/metrics      Prometheus text format: campaign progress, worker
-//	              occupancy (runner pool), verdict-cache hit ratio,
-//	              trial-latency quantiles, heap/GC stats
+//	/metrics      Prometheus text format: campaign progress, engine
+//	              counters (State and Work rows), worker occupancy (runner
+//	              pool), verdict-cache hit ratio, trial-latency
+//	              quantiles, heap/GC stats
 //	/statusz      the Progress Snapshot as JSON
 //	/healthz      "ok\n" (liveness)
 //	/debug/pprof  the standard net/http/pprof handlers, so a live campaign
@@ -112,11 +114,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("timedice_cache_hits_total", "schedulability-verdict cache hits (core.Cache)", st.CacheHits)
 		counter("timedice_cache_misses_total", "schedulability-verdict cache misses (core.Cache)", st.CacheMisses)
 		gauge("timedice_cache_hit_ratio", "hits / (hits + misses)", st.CacheHitRatio)
-		counter("timedice_engine_steps_total", "engine steps (= scheduling decisions) simulated", st.EngineSteps)
-		counter("timedice_engine_arena_bytes_total", "hot-state bytes touched by the step loop (deterministic cache-traffic proxy)", st.ArenaBytes)
+		counter("timedice_engine_steps_total", "engine steps (= scheduling decisions) simulated", st.Engine["decisions"])
+		for _, row := range engine.CounterRows {
+			if row.Class != engine.Host {
+				counter("timedice_engine_"+row.Name+"_total", row.Help, st.Engine[row.Name])
+			}
+		}
 		gauge("timedice_engine_arena_bytes_per_step", "mean arena bytes touched per engine step", st.ArenaBytesPerStep)
-		counter("timedice_engine_fixpoint_iters_total", "Algorithm-3 busy-interval fixpoint iterations run (deterministic decision-cost proxy)", st.FixpointIters)
-		counter("timedice_engine_interference_terms_total", "Algorithm-3 interference terms evaluated (scan-vs-indexed gap = decision-kernel savings)", st.InterferenceTerms)
 		fmt.Fprintf(w, "# HELP timedice_trial_seconds per-trial wall-clock quantiles (stats.Sketch)\n# TYPE timedice_trial_seconds summary\n")
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.5\"} %g\n", st.TrialSecondsP50)
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.9\"} %g\n", st.TrialSecondsP90)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"timedice/internal/engine"
 	"timedice/internal/obs"
 )
 
@@ -36,7 +37,7 @@ func TestServerEndpoints(t *testing.T) {
 	p.TrialStart()
 	p.TrialDone(1234, 2, 3*time.Millisecond)
 	p.AddCache(8, 2)
-	p.AddEngine(100, 6400, 250, 900)
+	p.AddEngine(&engine.Counters{Decisions: 100, ArenaBytesTouched: 6400, FixpointIters: 250, InterferenceTerms: 900})
 
 	srv, err := obs.StartServer("127.0.0.1:0", p)
 	if err != nil {
