@@ -29,6 +29,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: blinderbench takes only flags", fs.Args())
+	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: must be positive, or 0 for one worker per CPU", *parallel)
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figures -out ./figures [-windows 120] [-seed 1] [-stream]
+//	figures -out ./figures [-windows 120] [-seed 1]
 package main
 
 import (
@@ -40,10 +40,12 @@ func run(args []string) error {
 	windows := fs.Int("windows", 120, "monitoring windows per heatmap")
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "render workers: 0 = one per CPU, 1 = sequential")
-	stream := fs.Bool("stream", false, "streaming (constant-memory sketch) aggregation for the Fig. 16 boxes; exact is the default")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: figures takes only flags", fs.Args())
 	}
 	if *windows <= 0 {
 		return fmt.Errorf("-windows %d: must be positive", *windows)
@@ -77,7 +79,7 @@ func run(args []string) error {
 		renders = append(renders, func() error { return renderHeatmap(*outDir, kind, *windows, *seed) })
 	}
 	// Fig. 16: per-task response-time box plots, NoRandom vs TimeDice.
-	renders = append(renders, func() error { return renderBoxes(*outDir, *seed, *stream) })
+	renders = append(renders, func() error { return renderBoxes(*outDir, *seed) })
 	if err := runner.Do(*parallel, renders...); err != nil {
 		return err
 	}
@@ -92,12 +94,10 @@ func run(args []string) error {
 }
 
 // renderBoxes draws the Fig. 16 response-time spreads: one group per Table I
-// task, NoRandom and TimeDiceW boxes side by side. With -stream the samples
-// flow through per-task quantile sketches instead of buffers.
-func renderBoxes(outDir string, seed uint64, stream bool) error {
+// task, NoRandom and TimeDiceW boxes side by side.
+func renderBoxes(outDir string, seed uint64) error {
 	sc := experiments.Quick()
 	sc.Seed = seed
-	sc.Stream = stream
 	sc.Parallel = 1 // already fanned out as one render among the others
 	res, err := experiments.Fig16(sc, nil)
 	if err != nil {

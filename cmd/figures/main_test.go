@@ -36,3 +36,17 @@ func TestNegativeParallelRejected(t *testing.T) {
 		t.Errorf("run(-parallel -1) created %s", out)
 	}
 }
+
+// TestStrayArgumentsRejected: flag parsing stops at the first non-flag
+// word, so a stray word would silently drop every flag after it. Any
+// positional argument fails before the output directory is created.
+func TestStrayArgumentsRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "figures")
+	err := run([]string{"-windows", "0", "stray", "-out", out})
+	if err == nil || !strings.Contains(err.Error(), `unexpected arguments ["stray" "-out"`) {
+		t.Fatalf("run(-windows 0 stray -out ...) = %v, want an unexpected-arguments error", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("run(... stray ...) created %s", out)
+	}
+}

@@ -37,6 +37,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: overheadbench takes only flags", fs.Args())
+	}
 	if *secs <= 0 {
 		return fmt.Errorf("-secs %d: must be positive", *secs)
 	}

@@ -32,11 +32,13 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "quick", "experiment scale: quick | full")
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "trial workers: 0 = one per CPU, 1 = sequential")
-	stream := fs.Bool("stream", false, "streaming (constant-memory sketch) aggregation for campaign/fig16; exact is the default")
 	progress := fs.Bool("progress", false, "print a periodic progress line to stderr")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: report takes only flags", fs.Args())
 	}
 	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
@@ -47,7 +49,6 @@ func run(args []string) error {
 	}
 	sc.Seed = *seed
 	sc.Parallel = *parallel
-	sc.Stream = *stream
 
 	var w io.Writer
 	if *outPath == "-" {

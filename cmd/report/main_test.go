@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// TestBadFlagsRejected: an unknown -scale and a negative -parallel fail
-// before the report file is created or any section runs.
+// TestBadFlagsRejected: an unknown -scale, a negative -parallel and a stray
+// positional word (which would drop every flag after it) fail before the
+// report file is created or any section runs.
 func TestBadFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -16,6 +17,7 @@ func TestBadFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-scale", "bogus"}, `"bogus"`},
 		{[]string{"-parallel", "-1"}, "-parallel -1"},
+		{[]string{"-scale", "bogus", "stray"}, `unexpected arguments ["stray" "-out"`},
 	} {
 		out := filepath.Join(t.TempDir(), "report.md")
 		err := run(append(tc.args, "-out", out))

@@ -29,6 +29,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,53 +82,70 @@ type config struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the campaign writing its report to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simfuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cfg config
-	flag.IntVar(&cfg.scenarios, "scenarios", 1000, "number of scenarios to generate and check")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "master seed; the whole campaign is a pure function of it")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "worker count (<=0: one per CPU); does not affect output")
-	flag.BoolVar(&cfg.shrink, "shrink", true, "minimize the first failing scenario before reporting it")
-	flag.IntVar(&cfg.window, "recwindow", obs.DefaultRecorderWindow, "flight-recorder window per worker, in telemetry events")
-	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write campaign state to this file after every chunk (enables resumption)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", defaultCheckpointEvery, "trials per chunk between checkpoint writes")
-	flag.StringVar(&cfg.resumeFrom, "resume-from", "", "resume a campaign from a -checkpoint file (flags must match)")
-	flag.IntVar(&cfg.explore, "explore", 0, "fork-based exploration: futures to branch per interesting state (0 disables)")
-	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	pf := prof.AddFlags(flag.CommandLine)
-	flag.Parse()
+	fs.IntVar(&cfg.scenarios, "scenarios", 1000, "number of scenarios to generate and check")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "master seed; the whole campaign is a pure function of it")
+	fs.IntVar(&cfg.parallel, "parallel", 0, "worker count (<=0: one per CPU); does not affect output")
+	fs.BoolVar(&cfg.shrink, "shrink", true, "minimize the first failing scenario before reporting it")
+	fs.IntVar(&cfg.window, "recwindow", obs.DefaultRecorderWindow, "flight-recorder window per worker, in telemetry events")
+	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write campaign state to this file after every chunk (enables resumption)")
+	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", defaultCheckpointEvery, "trials per chunk between checkpoint writes")
+	fs.StringVar(&cfg.resumeFrom, "resume-from", "", "resume a campaign from a -checkpoint file (flags must match)")
+	fs.IntVar(&cfg.explore, "explore", 0, "fork-based exploration: futures to branch per interesting state (0 disables)")
+	progress := fs.Bool("progress", false, "print a periodic progress line to stderr")
+	obsFlags := obs.AddFlags(fs)
+	pf := prof.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "simfuzz: unexpected arguments %q: simfuzz takes only flags\n", fs.Args())
+		return 2
+	}
 
 	cfg.prog = obs.NewProgress("simfuzz", int64(cfg.scenarios))
-	run, srv, err := obsFlags.Start("simfuzz", flag.CommandLine, cfg.prog)
+	ledger, srv, err := obsFlags.Start("simfuzz", fs, cfg.prog)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simfuzz:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simfuzz:", err)
+		return 2
 	}
-	cfg.ledger = run
+	cfg.ledger = ledger
 	// Bundles land next to run.json when the ledger is on, under the runs
 	// root otherwise; an empty -runs disables both.
-	cfg.bundleDir = run.Dir()
+	cfg.bundleDir = ledger.Dir()
 	if cfg.bundleDir == "" && obsFlags.Runs != "" {
 		cfg.bundleDir = obsFlags.Runs
 	}
 
 	stopProf, err := pf.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simfuzz:", err)
-		run.Finish(2) //nolint:errcheck // exiting anyway
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simfuzz:", err)
+		ledger.Finish(2) //nolint:errcheck // exiting anyway
+		return 2
 	}
 	var stopReport func()
 	if *progress {
-		stopReport = cfg.prog.StartReporter(os.Stderr, 2*time.Second)
+		stopReport = cfg.prog.StartReporter(stderr, 2*time.Second)
 	}
 
-	code := campaign(cfg, os.Stdout)
+	code := campaign(cfg, stdout)
 
 	if stopReport != nil {
 		stopReport()
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "simfuzz:", err)
+		fmt.Fprintln(stderr, "simfuzz:", err)
 		if code == 0 {
 			code = 2
 		}
@@ -135,10 +153,10 @@ func main() {
 	if srv != nil {
 		srv.Close() //nolint:errcheck // shutting down
 	}
-	if err := run.Finish(code); err != nil {
-		fmt.Fprintln(os.Stderr, "simfuzz:", err)
+	if err := ledger.Finish(code); err != nil {
+		fmt.Fprintln(stderr, "simfuzz:", err)
 	}
-	os.Exit(code)
+	return code
 }
 
 // trial is the per-scenario record; everything the report needs is captured

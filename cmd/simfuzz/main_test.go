@@ -260,3 +260,20 @@ func TestExploreCampaign(t *testing.T) {
 		t.Fatalf("explore report depends on worker count:\n--- parallel 1\n%s--- parallel 4\n%s", seq.String(), par.String())
 	}
 }
+
+// TestStrayArgumentsRejected: flag parsing stops at the first non-flag
+// word, so a stray word would silently drop every flag after it. Any
+// positional argument is a setup error (exit 2 with a message) before the
+// campaign starts.
+func TestStrayArgumentsRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scenarios", "-5", "stray", "-parallel", "1"}, &out, &errOut); code != 2 {
+		t.Fatalf("run exited %d, want 2:\n%s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(errOut.String(), `unexpected arguments ["stray" "-parallel" "1"]`) {
+		t.Fatalf("rejection does not name the stray arguments:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("campaign wrote a report:\n%s", out.String())
+	}
+}

@@ -43,6 +43,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: timedice-sim takes only flags", fs.Args())
+	}
 	// Simulated time has microsecond resolution, so a positive flag below
 	// 1µs is as empty as zero: a zero horizon divides the summary by zero
 	// and a zero cell divides the Gantt rendering by zero.

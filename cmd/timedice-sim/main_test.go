@@ -68,7 +68,8 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestBadFlagsRejected pins that malformed flags fail before any simulation:
-// an empty horizon or Gantt cell and an unknown trace mode are errors, and
+// an empty horizon or Gantt cell, an unknown trace mode and a stray
+// positional word (which would drop every flag after it) are errors, and
 // the rejected run leaves no PNG behind.
 func TestBadFlagsRejected(t *testing.T) {
 	dir := t.TempDir()
@@ -83,6 +84,7 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"zero dur", []string{"-dur", "0"}, "-dur"},
 		{"negative dur", []string{"-dur", "-5ms"}, "-dur"},
 		{"unknown trace with png", []string{"-trace", "bogus", "-png", png}, "unknown trace mode"},
+		{"stray word", []string{"-dur", "0", "stray", "-png", png}, `unexpected arguments ["stray" "-png"`},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

@@ -54,6 +54,9 @@ func run(args []string, stdout *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: timedice-trace takes only flags", fs.Args())
+	}
 
 	if *summaryPath != "" {
 		return printSummary(*summaryPath, stdout)

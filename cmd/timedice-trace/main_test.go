@@ -230,3 +230,17 @@ func TestNonPositiveDurRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentsRejected: flag parsing stops at the first non-flag
+// word, so a stray word would silently drop every flag after it. Any
+// positional argument fails before an artifact is written.
+func TestStrayArgumentsRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	err := run([]string{"-scenario", "three", "-dur", "0", "stray", "-out", dir}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), `unexpected arguments ["stray" "-out"`) {
+		t.Fatalf("err = %v, want an unexpected-arguments error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("output directory created (stat: %v)", err)
+	}
+}

@@ -40,6 +40,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: wcrt takes only flags", fs.Args())
+	}
 	if *empirical < 0 {
 		return fmt.Errorf("-empirical %d: must be positive, or 0 for the analytic table only", *empirical)
 	}

@@ -24,3 +24,13 @@ func TestNegativeParallelRejected(t *testing.T) {
 		t.Fatalf("run(-parallel -1) = %v, want a -parallel error", err)
 	}
 }
+
+// TestStrayArgumentsRejected: flag parsing stops at the first non-flag
+// word, so a stray word would silently drop every flag after it. Any
+// positional argument fails before anything is printed.
+func TestStrayArgumentsRejected(t *testing.T) {
+	err := run([]string{"-empirical", "-5", "stray"})
+	if err == nil || !strings.Contains(err.Error(), `unexpected arguments ["stray"]`) {
+		t.Fatalf("run(-empirical -5 stray) = %v, want an unexpected-arguments error", err)
+	}
+}

@@ -63,110 +63,6 @@ func runSeeds(cfg Config, seeds []uint64, workers int, vecTrainers []ml.Trainer)
 	return aggregate(results), nil
 }
 
-// StreamAggregate is Aggregate extended with constant-memory quantile
-// sketches over the per-seed channel metrics. Campaign memory is
-// O(workers · sketch) regardless of how many seeds run, unlike collecting
-// per-seed results for exact quantiles.
-type StreamAggregate struct {
-	Aggregate
-	// RTAccuracyQ and CapacityQ stream the per-seed RT-decoder accuracy and
-	// channel capacity; quantile answers are exact below the sketch's
-	// small-N capacity and carry its documented relative error above it.
-	RTAccuracyQ *stats.Sketch
-	CapacityQ   *stats.Sketch
-}
-
-// NewStreamAggregate returns an empty streaming aggregate.
-func NewStreamAggregate() *StreamAggregate {
-	return &StreamAggregate{
-		Aggregate:   Aggregate{VecAccuracy: make(map[string]*stats.Summary)},
-		RTAccuracyQ: stats.NewSketch(),
-		CapacityQ:   stats.NewSketch(),
-	}
-}
-
-// fold adds one run's metrics.
-func (a *StreamAggregate) fold(res *Result) {
-	a.RTAccuracy.Add(res.RTAccuracy)
-	a.OnlineRTAccuracy.Add(res.OnlineRTAccuracy)
-	a.Capacity.Add(res.Capacity)
-	for name, acc := range res.VecAccuracy {
-		s, ok := a.VecAccuracy[name]
-		if !ok {
-			s = &stats.Summary{}
-			a.VecAccuracy[name] = s
-		}
-		s.Add(acc)
-	}
-	a.RTAccuracyQ.Add(res.RTAccuracy)
-	a.CapacityQ.Add(res.Capacity)
-	a.Runs++
-}
-
-// merge folds another streaming aggregate into a.
-func (a *StreamAggregate) merge(o *StreamAggregate) {
-	a.RTAccuracy.Merge(&o.RTAccuracy)
-	a.OnlineRTAccuracy.Merge(&o.OnlineRTAccuracy)
-	a.Capacity.Merge(&o.Capacity)
-	for name, src := range o.VecAccuracy {
-		s, ok := a.VecAccuracy[name]
-		if !ok {
-			s = &stats.Summary{}
-			a.VecAccuracy[name] = s
-		}
-		s.Merge(src)
-	}
-	a.RTAccuracyQ.Merge(o.RTAccuracyQ)
-	a.CapacityQ.Merge(o.CapacityQ)
-	a.Runs += o.Runs
-}
-
-// RunSeedsStream is RunSeedsParallel with streaming aggregation: each
-// worker folds the trials it claims into its own StreamAggregate and the
-// per-worker aggregates merge at fan-in, so memory stays bounded no matter
-// how many seeds the campaign sweeps. The sketch quantiles are exactly
-// worker-count-independent (stats.Sketch merges are order-insensitive);
-// the Summary means/stds match the exact path up to floating-point
-// rounding in the parallel-variance combine, which is why paper tables
-// default to the exact path (CollectSeeds / RunSeedsParallel).
-func RunSeedsStream(cfg Config, seeds []uint64, workers int, vecTrainers ...ml.Trainer) (*StreamAggregate, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("covert: RunSeedsStream needs at least one seed")
-	}
-	return runner.ReducePooled(workers,
-		func() (*Harness, error) { return NewHarness(cfg) },
-		NewStreamAggregate,
-		seeds,
-		func(h *Harness, acc *StreamAggregate, _ int, seed uint64) error {
-			res, err := h.Run(seed, vecTrainers...)
-			if err != nil {
-				return fmt.Errorf("seed %d: %w", seed, err)
-			}
-			acc.fold(res)
-			return nil
-		},
-		func(dst, src *StreamAggregate) { dst.merge(src) })
-}
-
-// CollectSeeds runs the experiment once per seed on a worker pool and
-// returns the per-seed results in seed order — the exact-path counterpart
-// of RunSeedsStream for callers that need exact quantiles over a campaign.
-func CollectSeeds(cfg Config, seeds []uint64, workers int, vecTrainers ...ml.Trainer) ([]*Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("covert: CollectSeeds needs at least one seed")
-	}
-	return runner.MapPooled(workers,
-		func() (*Harness, error) { return NewHarness(cfg) },
-		seeds,
-		func(h *Harness, _ int, seed uint64) (*Result, error) {
-			res, err := h.Run(seed, vecTrainers...)
-			if err != nil {
-				return nil, fmt.Errorf("seed %d: %w", seed, err)
-			}
-			return res, nil
-		})
-}
-
 // aggregate folds per-seed results in order.
 func aggregate(results []*Result) *Aggregate {
 	agg := &Aggregate{VecAccuracy: make(map[string]*stats.Summary)}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"timedice/internal/policies"
-	"timedice/internal/stats"
 )
 
 func TestRunSeedsAggregates(t *testing.T) {
@@ -80,59 +79,4 @@ func TestRunSeedsParallelMatchesSequential(t *testing.T) {
 	if par.Runs != len(seeds) {
 		t.Errorf("runs = %d", par.Runs)
 	}
-}
-
-// TestRunSeedsStreamMatchesExact: the streaming path must reproduce the
-// exact aggregate — sketch quantiles are bit-identical to exact quantiles
-// over the per-seed results while in the small-N regime, and the summary
-// means match up to parallel-combine rounding.
-func TestRunSeedsStreamMatchesExact(t *testing.T) {
-	cfg := baseConfig()
-	cfg.ProfileWindows = 80
-	cfg.TestWindows = 160
-	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	results, err := CollectSeeds(cfg, seeds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		sa, err := RunSeedsStream(cfg, seeds, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa.Runs != len(seeds) || sa.RTAccuracyQ.N() != int64(len(seeds)) {
-			t.Fatalf("workers=%d: runs=%d sketchN=%d", workers, sa.Runs, sa.RTAccuracyQ.N())
-		}
-		accs := make([]float64, len(results))
-		caps := make([]float64, len(results))
-		for i, r := range results {
-			accs[i] = r.RTAccuracy
-			caps[i] = r.Capacity
-		}
-		qs := []float64{0.1, 0.5, 0.9}
-		wantAcc := stats.Quantiles(accs, qs...)
-		wantCap := stats.Quantiles(caps, qs...)
-		gotAcc := sa.RTAccuracyQ.Quantiles(qs...)
-		gotCap := sa.CapacityQ.Quantiles(qs...)
-		for i := range qs {
-			if gotAcc[i] != wantAcc[i] || gotCap[i] != wantCap[i] {
-				t.Errorf("workers=%d q=%v: stream (%v, %v) != exact (%v, %v)",
-					workers, qs[i], gotAcc[i], gotCap[i], wantAcc[i], wantCap[i])
-			}
-		}
-		if d := sa.RTAccuracy.Mean() - mean(accs); d > 1e-12 || d < -1e-12 {
-			t.Errorf("workers=%d: stream mean off by %v", workers, d)
-		}
-	}
-	if _, err := RunSeedsStream(cfg, nil, 2); err == nil {
-		t.Error("empty seed list accepted (stream)")
-	}
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"timedice/internal/covert"
+	"timedice/internal/experiments/runner"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
 	"timedice/internal/stats"
@@ -23,9 +25,6 @@ type CampaignRow struct {
 // CampaignResult is the cross-seed robustness report.
 type CampaignResult struct {
 	Rows []CampaignRow
-	// Streaming records which aggregation path produced the rows: exact
-	// per-seed collection (default) or constant-memory sketch merging.
-	Streaming bool
 }
 
 // campaignSeedCount sizes the sweep from the scale: one seed per 40 test
@@ -41,16 +40,16 @@ func campaignSeedCount(sc Scale) int {
 	return n
 }
 
+// campaignTrial is the pair of channel metrics Campaign keeps from one
+// seed's trial.
+type campaignTrial struct{ acc, capacity float64 }
+
 // Campaign sweeps the standard feasibility channel across many independent
 // seeds for NoRandom and TimeDiceW and reports the cross-seed spread of the
 // channel metrics — the robustness view behind the single-seed figures.
-// With sc.Stream the per-seed metrics are folded through per-worker
-// quantile sketches merged at fan-in (covert.RunSeedsStream), so memory is
-// independent of the sweep size; by default the per-seed results are
-// collected and the quantiles computed exactly. At this sweep's scale the
-// sketches are still in their exact small-N regime, so both paths print
-// identical quantiles; means can differ in the last floating-point digits
-// (parallel Welford combine).
+// Each worker reuses one covert.Harness across the seeds it claims and
+// keeps only each trial's (RT accuracy, capacity) pair; the pairs are
+// folded in seed order, and the quantiles are exact.
 func Campaign(sc Scale, w io.Writer) (*CampaignResult, error) {
 	sc = sc.withDefaults()
 	n := campaignSeedCount(sc)
@@ -60,48 +59,26 @@ func Campaign(sc Scale, w io.Writer) (*CampaignResult, error) {
 		seeds[i] = root.Uint64()
 	}
 
-	res := &CampaignResult{Streaming: sc.Stream}
-	mode := "exact"
-	if sc.Stream {
-		mode = "streaming"
-	}
-	fprintf(w, "Campaign: channel metrics across %d seeds (%s aggregation)\n", n, mode)
+	res := &CampaignResult{}
+	fprintf(w, "Campaign: channel metrics across %d seeds (exact aggregation)\n", n)
 	fprintf(w, "%-10s %18s %24s %10s %8s\n",
 		"policy", "accuracy mean±std", "accuracy p10/p50/p90", "cap mean", "cap p90")
 	for _, kind := range []policies.Kind{policies.NoRandom, policies.TimeDiceW} {
 		cfg := channelConfig(BaseLoad, kind, sc)
-		row := CampaignRow{Policy: kind, N: n}
-		if sc.Stream {
-			sa, err := covert.RunSeedsStream(cfg, seeds, sc.Parallel)
-			if err != nil {
-				return nil, err
-			}
-			row.AccMean, row.AccStd = sa.RTAccuracy.Mean(), sa.RTAccuracy.Std()
-			accQ := sa.RTAccuracyQ.Quantiles(0.1, 0.5, 0.9)
-			row.AccP10, row.AccP50, row.AccP90 = accQ[0], accQ[1], accQ[2]
-			row.CapMean = sa.Capacity.Mean()
-			row.CapP90 = sa.CapacityQ.Quantile(0.9)
-		} else {
-			results, err := covert.CollectSeeds(cfg, seeds, sc.Parallel)
-			if err != nil {
-				return nil, err
-			}
-			accs := make([]float64, len(results))
-			caps := make([]float64, len(results))
-			var accSum stats.Summary
-			var capSum stats.Summary
-			for i, r := range results {
-				accs[i] = r.RTAccuracy
-				caps[i] = r.Capacity
-				accSum.Add(r.RTAccuracy)
-				capSum.Add(r.Capacity)
-			}
-			row.AccMean, row.AccStd = accSum.Mean(), accSum.Std()
-			accQ := stats.Quantiles(accs, 0.1, 0.5, 0.9)
-			row.AccP10, row.AccP50, row.AccP90 = accQ[0], accQ[1], accQ[2]
-			row.CapMean = capSum.Mean()
-			row.CapP90 = stats.Quantile(caps, 0.9)
+		trials, err := runner.MapPooled(sc.Parallel,
+			func() (*covert.Harness, error) { return covert.NewHarness(cfg) },
+			seeds,
+			func(h *covert.Harness, _ int, seed uint64) (campaignTrial, error) {
+				r, err := h.Run(seed)
+				if err != nil {
+					return campaignTrial{}, fmt.Errorf("seed %d: %w", seed, err)
+				}
+				return campaignTrial{r.RTAccuracy, r.Capacity}, nil
+			})
+		if err != nil {
+			return nil, err
 		}
+		row := campaignRow(kind, trials)
 		res.Rows = append(res.Rows, row)
 		fprintf(w, "%-10s %8.2f%% ± %5.2f%%  %6.2f%%/%6.2f%%/%6.2f%% %10.3f %8.3f\n",
 			kind, 100*row.AccMean, 100*row.AccStd,
@@ -109,4 +86,24 @@ func Campaign(sc Scale, w io.Writer) (*CampaignResult, error) {
 			row.CapMean, row.CapP90)
 	}
 	return res, nil
+}
+
+// campaignRow folds one policy's per-seed trials, in seed order, into its
+// summary row.
+func campaignRow(kind policies.Kind, trials []campaignTrial) CampaignRow {
+	accs := make([]float64, len(trials))
+	caps := make([]float64, len(trials))
+	var accSum, capSum stats.Summary
+	for i, t := range trials {
+		accs[i], caps[i] = t.acc, t.capacity
+		accSum.Add(t.acc)
+		capSum.Add(t.capacity)
+	}
+	accQ := stats.Quantiles(accs, 0.1, 0.5, 0.9)
+	return CampaignRow{
+		Policy: kind, N: len(trials),
+		AccMean: accSum.Mean(), AccStd: accSum.Std(),
+		AccP10: accQ[0], AccP50: accQ[1], AccP90: accQ[2],
+		CapMean: capSum.Mean(), CapP90: stats.Quantile(caps, 0.9),
+	}
 }

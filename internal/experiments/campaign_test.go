@@ -5,96 +5,78 @@ import (
 	"strings"
 	"testing"
 
-	"timedice/internal/policies"
-	"timedice/internal/vtime"
+	"timedice/internal/covert"
+	"timedice/internal/rng"
+	"timedice/internal/stats"
 )
 
-// TestCampaignExactAndStreamingAgree runs the seed sweep through both
-// aggregation paths: at this scale the sketches never leave their exact
-// small-N regime, so the quantile columns must match bit for bit, and the
-// means up to the parallel-combine rounding.
-func TestCampaignExactAndStreamingAgree(t *testing.T) {
+// TestCampaignSeparatesPolicies is the cross-seed mitigation check: across
+// the sweep, TimeDiceW's median RT-decoder accuracy sits below NoRandom's.
+func TestCampaignSeparatesPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep is slow")
 	}
 	sc := tiny()
 	sc.TestWindows = 320 // 8 seeds, the sweep floor
-	exact, err := Campaign(sc, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Stream = true
 	var buf strings.Builder
-	stream, err := Campaign(sc, &buf)
+	res, err := Campaign(sc, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Streaming || !stream.Streaming {
-		t.Fatal("Streaming flags wrong")
+	if len(res.Rows) != 2 || res.Rows[0].N != 8 || res.Rows[1].N != 8 {
+		t.Fatalf("rows: %+v", res.Rows)
 	}
-	if len(exact.Rows) != 2 || len(stream.Rows) != 2 {
-		t.Fatalf("rows: %d exact, %d stream", len(exact.Rows), len(stream.Rows))
-	}
-	for i, e := range exact.Rows {
-		s := stream.Rows[i]
-		if e.Policy != s.Policy || e.N != s.N {
-			t.Fatalf("row %d identity mismatch", i)
-		}
-		if e.AccP10 != s.AccP10 || e.AccP50 != s.AccP50 || e.AccP90 != s.AccP90 || e.CapP90 != s.CapP90 {
-			t.Errorf("row %d quantiles diverged: exact %+v stream %+v", i, e, s)
-		}
-		if d := e.AccMean - s.AccMean; d > 1e-12 || d < -1e-12 {
-			t.Errorf("row %d mean diverged by %v", i, d)
-		}
-	}
-	// The mitigation effect must be visible across seeds: TimeDiceW median
-	// accuracy below NoRandom's.
-	if exact.Rows[1].AccP50 >= exact.Rows[0].AccP50 {
+	if res.Rows[1].AccP50 >= res.Rows[0].AccP50 {
 		t.Errorf("TimeDiceW median accuracy %.3f not below NoRandom %.3f",
-			exact.Rows[1].AccP50, exact.Rows[0].AccP50)
+			res.Rows[1].AccP50, res.Rows[0].AccP50)
 	}
-	if !strings.Contains(buf.String(), "streaming aggregation") {
-		t.Error("report does not mention the aggregation mode")
+	if !strings.Contains(buf.String(), "(exact aggregation)") {
+		t.Error("report header lost its aggregation note")
 	}
 }
 
-// TestResponsivenessStreamMatchesExact pins the streaming per-task sketch
-// path against buffered samples on the same run: identical schedules, and
-// box plots within the sketch's documented accuracy.
-func TestResponsivenessStreamMatchesExact(t *testing.T) {
+// TestCampaignMatchesFreshRuns cross-checks Campaign's reused per-worker
+// harnesses against the plain path: every row recomputed from one fresh
+// covert.Run per seed, folded through stats.Summary and stats.Quantiles,
+// must match bit for bit.
+func TestCampaignMatchesFreshRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed sweep is slow")
+	}
 	sc := tiny()
-	spec := BaseLoad.Spec()
-	dur := vtime.Duration(sc.SimSeconds) * vtime.Second
-	exact, err := RunResponsiveness(spec, policies.NoRandom, dur, sc.Seed, ResponsivenessOptions{Jitter: 0.2})
+	sc.Parallel = 2
+	res, err := Campaign(sc, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := RunResponsiveness(spec, policies.NoRandom, dur, sc.Seed, ResponsivenessOptions{Jitter: 0.2, Stream: true})
-	if err != nil {
-		t.Fatal(err)
+	root := rng.New(sc.Seed)
+	seeds := make([]uint64, campaignSeedCount(sc))
+	for i := range seeds {
+		seeds[i] = root.Uint64()
 	}
-	for i, e := range exact.Tasks {
-		s := stream.Tasks[i]
-		if s.Sketch == nil || s.Samples != nil {
-			t.Fatalf("task %s: streaming record shape wrong", s.Task)
-		}
-		if e.Summary.N() != s.Summary.N() || e.Misses != s.Misses {
-			t.Fatalf("task %s: schedules diverged (n %d vs %d)", s.Task, e.Summary.N(), s.Summary.N())
-		}
-		eb, sb := e.Box(), s.Box()
-		alpha := s.Sketch.Accuracy()
-		check := func(name string, ev, sv float64) {
-			if d := sv - ev; d > alpha*ev+1e-9 || d < -alpha*ev-1e-9 {
-				t.Errorf("task %s %s: stream %v vs exact %v", s.Task, name, sv, ev)
+	for _, got := range res.Rows {
+		cfg := channelConfig(BaseLoad, got.Policy, sc)
+		var accs, caps []float64
+		var accSum, capSum stats.Summary
+		for _, seed := range seeds {
+			cfg.Seed = seed
+			r, err := covert.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			accs, caps = append(accs, r.RTAccuracy), append(caps, r.Capacity)
+			accSum.Add(r.RTAccuracy)
+			capSum.Add(r.Capacity)
 		}
-		check("min", eb.Min, sb.Min)
-		check("median", eb.Median, sb.Median)
-		check("max", eb.Max, sb.Max)
-		// Exact Box sums samples directly, the streaming path reads the
-		// Welford Summary: same mean up to accumulation rounding.
-		if d := sb.Mean - eb.Mean; d > 1e-9*eb.Mean || d < -1e-9*eb.Mean {
-			t.Errorf("task %s mean: stream %v vs exact %v", s.Task, sb.Mean, eb.Mean)
+		accQ := stats.Quantiles(accs, 0.1, 0.5, 0.9)
+		want := CampaignRow{
+			Policy: got.Policy, N: len(seeds),
+			AccMean: accSum.Mean(), AccStd: accSum.Std(),
+			AccP10: accQ[0], AccP50: accQ[1], AccP90: accQ[2],
+			CapMean: capSum.Mean(), CapP90: stats.Quantile(caps, 0.9),
+		}
+		if got != want {
+			t.Errorf("%v: campaign row %+v != fresh runs %+v", got.Policy, got, want)
 		}
 	}
 }

@@ -32,14 +32,6 @@ type Scale struct {
 	// self-contained deterministic simulation, so the setting changes
 	// wall-clock time only — results are identical at any parallelism.
 	Parallel int
-	// Stream switches the experiments that aggregate many samples or trials
-	// (Fig. 16 responsiveness spreads, the Campaign seed sweep) to
-	// constant-memory streaming aggregation: per-task/per-worker quantile
-	// sketches (stats.Sketch) instead of buffered samples. Off by default —
-	// the exact path remains authoritative for paper tables; streamed
-	// quantiles carry the sketch's documented ≤1% relative error once a
-	// series outgrows the sketch's exact small-N buffer.
-	Stream bool
 }
 
 // Full is the paper-scale configuration (10,000 test samples; long runs).

@@ -19,30 +19,12 @@ type TaskResponse struct {
 	Partition, Task string
 	Deadline        vtime.Duration
 	Summary         stats.Summary
-	Samples         []float64 // milliseconds, for box plots (exact mode)
-	// Sketch replaces Samples under streaming aggregation
-	// (ResponsivenessOptions.Stream): constant memory per task no matter how
-	// long the run, with the sketch's documented quantile accuracy.
-	Sketch *stats.Sketch
-	Misses int64 // deadline misses observed
+	Samples         []float64 // milliseconds, for box plots
+	Misses          int64     // deadline misses observed
 }
 
-// Box returns the five-number summary of the observations: exact from the
-// buffered samples, or sketch-estimated (mean from the streaming Summary)
-// in streaming mode.
-func (t *TaskResponse) Box() stats.BoxPlot {
-	if t.Sketch != nil {
-		if t.Sketch.N() == 0 {
-			return stats.BoxPlot{}
-		}
-		qs := t.Sketch.Quantiles(0.25, 0.5, 0.75)
-		return stats.BoxPlot{
-			Min: t.Sketch.Min(), Q1: qs[0], Median: qs[1], Q3: qs[2],
-			Max: t.Sketch.Max(), Mean: t.Summary.Mean(), N: int(t.Sketch.N()),
-		}
-	}
-	return stats.Box(t.Samples)
-}
+// Box returns the exact five-number summary of the observations.
+func (t *TaskResponse) Box() stats.BoxPlot { return stats.Box(t.Samples) }
 
 // ResponsivenessResult is one policy's run over a system.
 type ResponsivenessResult struct {
@@ -60,24 +42,17 @@ func (r *ResponsivenessResult) Task(partition, taskName string) (*TaskResponse, 
 	return nil, false
 }
 
-// ResponsivenessOptions tune a run.
-type ResponsivenessOptions struct {
-	// Jitter varies task execution times downward and inter-arrivals upward
-	// by up to the fraction, as the paper's benchmark does "for added
-	// variations". Zero runs tasks at exact WCET/period (worst-case
-	// pressure).
-	Jitter float64
-	// KeepSamples bounds the per-task stored samples (0 = keep all).
-	// Ignored under Stream.
-	KeepSamples int
-	// Stream aggregates response times into per-task quantile sketches
-	// instead of sample buffers: constant memory regardless of run length.
-	Stream bool
-}
+// responseJitter is the fraction by which every responsiveness run varies
+// task execution times downward and inter-arrivals upward, as the paper's
+// benchmark does "for added variations". Without it the phase-locked
+// periodic schedule never visits the critical instants, and Table II's
+// empirical maxima stay far below the analytic bounds.
+const responseJitter = 0.2
 
-// RunResponsiveness simulates spec under the policy for dur and collects
-// per-task response times.
-func RunResponsiveness(spec model.SystemSpec, kind policies.Kind, dur vtime.Duration, seed uint64, opts ResponsivenessOptions) (*ResponsivenessResult, error) {
+// RunResponsiveness simulates spec under the policy for dur, with task
+// timings varied by responseJitter, and collects every task's response
+// times.
+func RunResponsiveness(spec model.SystemSpec, kind policies.Kind, dur vtime.Duration, seed uint64) (*ResponsivenessResult, error) {
 	built, err := spec.Build()
 	if err != nil {
 		return nil, err
@@ -93,23 +68,17 @@ func RunResponsiveness(spec model.SystemSpec, kind policies.Kind, dur vtime.Dura
 				deadline = ts.Period
 			}
 			rec := &TaskResponse{Partition: ps.Name, Task: ts.Name, Deadline: deadline}
-			if opts.Stream {
-				rec.Sketch = stats.NewSketch()
-			}
 			records[model.TaskKey(ps.Name, ts.Name)] = rec
 			res.Tasks = append(res.Tasks, rec)
 
-			if opts.Jitter > 0 {
-				tk := built.Task[model.TaskKey(ps.Name, ts.Name)]
-				wcet, period := tk.WCET, tk.Period
-				jr := root.Split()
-				frac := opts.Jitter
-				tk.ExecFn = func(int64, vtime.Time) vtime.Duration {
-					return vtime.Duration(float64(wcet) * (1 - frac*jr.Float64()))
-				}
-				tk.PeriodFn = func(int64, vtime.Time) vtime.Duration {
-					return vtime.Duration(float64(period) * (1 + frac*jr.Float64()))
-				}
+			tk := built.Task[model.TaskKey(ps.Name, ts.Name)]
+			wcet, period := tk.WCET, tk.Period
+			jr := root.Split()
+			tk.ExecFn = func(int64, vtime.Time) vtime.Duration {
+				return vtime.Duration(float64(wcet) * (1 - responseJitter*jr.Float64()))
+			}
+			tk.PeriodFn = func(int64, vtime.Time) vtime.Duration {
+				return vtime.Duration(float64(period) * (1 + responseJitter*jr.Float64()))
 			}
 		}
 	}
@@ -119,11 +88,7 @@ func RunResponsiveness(spec model.SystemSpec, kind policies.Kind, dur vtime.Dura
 			rec := records[model.TaskKey(pn, c.Job.Task.Name)]
 			ms := c.Response.Milliseconds()
 			rec.Summary.Add(ms)
-			if rec.Sketch != nil {
-				rec.Sketch.Add(ms)
-			} else if opts.KeepSamples <= 0 || len(rec.Samples) < opts.KeepSamples {
-				rec.Samples = append(rec.Samples, ms)
-			}
+			rec.Samples = append(rec.Samples, ms)
 			if c.Response > rec.Deadline {
 				rec.Misses++
 			}
@@ -148,17 +113,16 @@ type Fig16Result struct {
 }
 
 // Fig16 runs the Table I benchmark under both policies with the paper's
-// added timing variations and reports per-task response-time spreads.
+// added timing variations and reports per-task response-time spreads,
+// exact five-number summaries over every buffered sample (at Full scale the
+// busiest task completes at most 15,000 jobs).
 func Fig16(sc Scale, w io.Writer) (*Fig16Result, error) {
 	sc = sc.withDefaults()
 	spec := BaseLoad.Spec()
 	dur := vtime.Duration(sc.SimSeconds) * vtime.Second
-	// Streaming mode trades the 100k-sample buffers for constant-memory
-	// per-task sketches (sc.Stream; exact remains the default).
-	opts := ResponsivenessOptions{Jitter: 0.2, KeepSamples: 100000, Stream: sc.Stream}
 	runs, err := runner.Map(sc.Parallel, []policies.Kind{policies.NoRandom, policies.TimeDiceW},
 		func(_ int, kind policies.Kind) (*ResponsivenessResult, error) {
-			return RunResponsiveness(spec, kind, dur, sc.Seed, opts)
+			return RunResponsiveness(spec, kind, dur, sc.Seed)
 		})
 	if err != nil {
 		return nil, err
@@ -190,9 +154,9 @@ type Table02Result struct {
 }
 
 // Table02 computes the analytic WCRTs (both analyses) and measures empirical
-// WCRTs from simulation, reproducing Table II. The empirical runs use exact
-// WCETs and minimum inter-arrival times (worst-case pressure); as in the
-// paper, empirical values typically sit below the analytic bounds.
+// WCRTs from simulation, reproducing Table II. The empirical runs vary task
+// timings by responseJitter so the schedule reaches its critical instants;
+// as in the paper, empirical values typically sit below the analytic bounds.
 func Table02(sc Scale, w io.Writer) (*Table02Result, error) {
 	sc = sc.withDefaults()
 	spec := BaseLoad.Spec()
@@ -201,14 +165,9 @@ func Table02(sc Scale, w io.Writer) (*Table02Result, error) {
 		return nil, err
 	}
 	dur := vtime.Duration(sc.SimSeconds) * vtime.Second
-	// As in the paper's benchmark, tasks vary their execution times and
-	// inter-arrival times for added variation; without it, the phase-locked
-	// periodic schedule never visits the critical instants and the empirical
-	// maxima stay far below the bounds.
-	opts := ResponsivenessOptions{Jitter: 0.2}
 	runs, err := runner.Map(sc.Parallel, []policies.Kind{policies.NoRandom, policies.TimeDiceW},
 		func(_ int, kind policies.Kind) (*ResponsivenessResult, error) {
-			return RunResponsiveness(spec, kind, dur, sc.Seed, opts)
+			return RunResponsiveness(spec, kind, dur, sc.Seed)
 		})
 	if err != nil {
 		return nil, err
@@ -259,10 +218,9 @@ func Table03(sc Scale, w io.Writer) (*Table03Result, error) {
 	sc = sc.withDefaults()
 	spec := carSpec()
 	dur := vtime.Duration(sc.SimSeconds) * vtime.Second
-	opts := ResponsivenessOptions{Jitter: 0.2, KeepSamples: 1}
 	runs, err := runner.Map(sc.Parallel, []policies.Kind{policies.NoRandom, policies.TimeDiceW},
 		func(_ int, kind policies.Kind) (*ResponsivenessResult, error) {
-			return RunResponsiveness(spec, kind, dur, sc.Seed, opts)
+			return RunResponsiveness(spec, kind, dur, sc.Seed)
 		})
 	if err != nil {
 		return nil, err

@@ -89,63 +89,13 @@ func trialEnd(err error) {
 // worker the items run sequentially on the calling goroutine with no
 // goroutine or channel overhead. fn must be safe to call concurrently with
 // itself for distinct indices. A panic in fn is recovered and reported as
-// that trial's error rather than crashing the pool.
+// that trial's error rather than crashing the pool. Map is MapPooled with an
+// empty per-worker state.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	w := Workers(workers)
-	if w > len(items) {
-		w = len(items)
-	}
-	if w <= 1 {
-		for i, item := range items {
-			r, err := safeCall(fn, i, item)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	var (
-		next   atomic.Int64 // next unclaimed input index
-		failed atomic.Bool  // set once any trial errors: stop claiming work
-		wg     sync.WaitGroup
-
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-	)
-	for range w {
-		wg.Add(1)
-		monWorkers.Add(1)
-		go func() {
-			defer wg.Done()
-			defer monWorkers.Add(-1)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) || failed.Load() {
-					return
-				}
-				r, err := safeCall(fn, i, items[i])
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return MapPooled(workers,
+		func() (struct{}, error) { return struct{}{}, nil },
+		items,
+		func(_ struct{}, i int, item T) (R, error) { return fn(i, item) })
 }
 
 // MapPooled is Map for trials that amortize expensive per-worker state: each
@@ -153,10 +103,10 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 // every trial it claims. The canonical state is a reusable simulation harness
 // (built system + buffers) that each trial resets and reruns instead of
 // reconstructing. fn must leave the state ready for the next trial; states
-// are never shared between workers, so fn needs no locking around them. The
-// pool semantics match Map exactly: results in input order, first-error-wins
-// with index tie-breaking, panics contained (in newState too), sequential
-// fast path for one worker.
+// are never shared between workers, so fn needs no locking around them.
+// Results come back in input order, the first error (by index) wins,
+// panics are contained (in newState too), and one worker runs the items
+// sequentially on the calling goroutine.
 func MapPooled[S, T, R any](workers int, newState func() (S, error), items []T, fn func(st S, i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	w := Workers(workers)
@@ -169,7 +119,7 @@ func MapPooled[S, T, R any](workers int, newState func() (S, error), items []T, 
 			return nil, err
 		}
 		for i, item := range items {
-			r, err := safeCallPooled(fn, st, i, item)
+			r, err := safeCall(fn, st, i, item)
 			if err != nil {
 				return nil, err
 			}
@@ -179,8 +129,8 @@ func MapPooled[S, T, R any](workers int, newState func() (S, error), items []T, 
 	}
 
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
+		next   atomic.Int64 // next unclaimed input index
+		failed atomic.Bool  // set once any trial errors: stop claiming work
 		wg     sync.WaitGroup
 
 		mu       sync.Mutex
@@ -213,7 +163,7 @@ func MapPooled[S, T, R any](workers int, newState func() (S, error), items []T, 
 				if i >= len(items) || failed.Load() {
 					return
 				}
-				r, err := safeCallPooled(fn, st, i, items[i])
+				r, err := safeCall(fn, st, i, items[i])
 				if err != nil {
 					fail(i, err)
 					return
@@ -229,107 +179,6 @@ func MapPooled[S, T, R any](workers int, newState func() (S, error), items []T, 
 	return out, nil
 }
 
-// ReducePooled is MapPooled for campaigns whose per-trial results should be
-// folded as they are produced instead of collected: each worker owns an
-// accumulator (created by newAcc) alongside its reusable state, fn folds
-// every trial it claims directly into that accumulator, and when the pool
-// drains the per-worker accumulators are merged in worker-slot order into
-// the first one, which is returned. Memory is O(workers · |accumulator|)
-// instead of O(len(items) · |result|) — the shape streaming campaign
-// statistics need.
-//
-// Which trials land in which accumulator depends on runtime claim order, so
-// deterministic totals require merge (and fn's folding) to be insensitive
-// to grouping and order — true of counters, stats.Summary merges up to
-// floating-point rounding, and exactly true of stats.Sketch. On any error
-// the first (by index) is returned and the partial accumulators are
-// discarded. A single worker folds sequentially in input order on the
-// calling goroutine.
-func ReducePooled[S, T, A any](workers int, newState func() (S, error), newAcc func() A, items []T, fn func(st S, acc A, i int, item T) error, merge func(dst, src A)) (A, error) {
-	var zero A
-	w := Workers(workers)
-	if w > len(items) {
-		w = len(items)
-	}
-	if w <= 1 {
-		st, err := safeNew(newState)
-		if err != nil {
-			return zero, err
-		}
-		acc := newAcc()
-		for i, item := range items {
-			if err := safeFold(fn, st, acc, i, item); err != nil {
-				return zero, err
-			}
-		}
-		return acc, nil
-	}
-
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-	)
-	fail := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	accs := make([]A, w)
-	for slot := range w {
-		accs[slot] = newAcc()
-		wg.Add(1)
-		monWorkers.Add(1)
-		go func() {
-			defer wg.Done()
-			defer monWorkers.Add(-1)
-			st, err := safeNew(newState)
-			if err != nil {
-				fail(int(next.Load()), err)
-				return
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) || failed.Load() {
-					return
-				}
-				if err := safeFold(fn, st, accs[slot], i, items[i]); err != nil {
-					fail(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return zero, firstErr
-	}
-	for slot := 1; slot < w; slot++ {
-		merge(accs[0], accs[slot])
-	}
-	return accs[0], nil
-}
-
-// safeFold invokes one folding trial with the same panic containment as
-// safeCallPooled.
-func safeFold[S, T, A any](fn func(S, A, int, T) error, st S, acc A, i int, item T) (err error) {
-	trialBegin()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("runner: trial %d panicked: %v\n%s", i, p, debug.Stack())
-		}
-		trialEnd(err)
-	}()
-	return fn(st, acc, i, item)
-}
-
 // safeNew builds one worker's state, containing panics like safeCall does.
 func safeNew[S any](newState func() (S, error)) (st S, err error) {
 	defer func() {
@@ -340,8 +189,10 @@ func safeNew[S any](newState func() (S, error)) (st S, err error) {
 	return newState()
 }
 
-// safeCallPooled is safeCall for stateful trials.
-func safeCallPooled[S, T, R any](fn func(S, int, T) (R, error), st S, i int, item T) (r R, err error) {
+// safeCall invokes one trial, converting a panic into that trial's error so
+// the first-error-wins machinery cancels and drains the pool instead of the
+// process dying inside a worker goroutine.
+func safeCall[S, T, R any](fn func(S, int, T) (R, error), st S, i int, item T) (r R, err error) {
 	trialBegin()
 	defer func() {
 		if p := recover(); p != nil {
@@ -350,20 +201,6 @@ func safeCallPooled[S, T, R any](fn func(S, int, T) (R, error), st S, i int, ite
 		trialEnd(err)
 	}()
 	return fn(st, i, item)
-}
-
-// safeCall invokes one trial, converting a panic into that trial's error so
-// the first-error-wins machinery cancels and drains the pool instead of the
-// process dying inside a worker goroutine.
-func safeCall[T, R any](fn func(int, T) (R, error), i int, item T) (r R, err error) {
-	trialBegin()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("runner: trial %d panicked: %v\n%s", i, p, debug.Stack())
-		}
-		trialEnd(err)
-	}()
-	return fn(i, item)
 }
 
 // Do runs heterogeneous thunks under the same pool semantics as Map. It is

@@ -265,105 +265,6 @@ func TestMapPooledTrialErrorAndPanic(t *testing.T) {
 	}
 }
 
-// reduceAcc is a simple order-insensitive accumulator for the ReducePooled
-// tests: an integer sum plus a count.
-type reduceAcc struct {
-	sum, n int64
-}
-
-func TestReducePooledSumAcrossWorkerCounts(t *testing.T) {
-	items := make([]int, 500)
-	var want int64
-	for i := range items {
-		items[i] = i + 1
-		want += int64(i + 1)
-	}
-	for _, workers := range []int{1, 2, 7, 16} {
-		acc, err := ReducePooled(workers,
-			func() (struct{}, error) { return struct{}{}, nil },
-			func() *reduceAcc { return &reduceAcc{} },
-			items,
-			func(_ struct{}, acc *reduceAcc, _ int, item int) error {
-				acc.sum += int64(item)
-				acc.n++
-				return nil
-			},
-			func(dst, src *reduceAcc) { dst.sum += src.sum; dst.n += src.n })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if acc.sum != want || acc.n != int64(len(items)) {
-			t.Errorf("workers=%d: sum=%d n=%d, want %d/%d", workers, acc.sum, acc.n, want, len(items))
-		}
-	}
-}
-
-func TestReducePooledReusesPerWorkerState(t *testing.T) {
-	var built atomic.Int64
-	items := make([]int, 64)
-	acc, err := ReducePooled(4,
-		func() (*int64, error) { built.Add(1); c := int64(0); return &c, nil },
-		func() *reduceAcc { return &reduceAcc{} },
-		items,
-		func(st *int64, acc *reduceAcc, _ int, _ int) error {
-			*st++ // per-worker trial count: no locking needed
-			acc.n++
-			return nil
-		},
-		func(dst, src *reduceAcc) { dst.n += src.n })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc.n != 64 {
-		t.Errorf("folded %d trials, want 64", acc.n)
-	}
-	if b := built.Load(); b > 4 {
-		t.Errorf("built %d states, want <= 4", b)
-	}
-}
-
-func TestReducePooledFirstErrorAndPanic(t *testing.T) {
-	items := make([]int, 100)
-	boom := errors.New("boom")
-	_, err := ReducePooled(8,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func() *reduceAcc { return &reduceAcc{} },
-		items,
-		func(_ struct{}, _ *reduceAcc, i int, _ int) error {
-			if i == 42 {
-				return boom
-			}
-			return nil
-		},
-		func(dst, src *reduceAcc) {})
-	if !errors.Is(err, boom) {
-		t.Errorf("error = %v, want boom", err)
-	}
-	_, err = ReducePooled(8,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func() *reduceAcc { return &reduceAcc{} },
-		items,
-		func(_ struct{}, _ *reduceAcc, i int, _ int) error {
-			if i == 77 {
-				panic("kaboom")
-			}
-			return nil
-		},
-		func(dst, src *reduceAcc) {})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("panic not contained: %v", err)
-	}
-	_, err = ReducePooled(4,
-		func() (struct{}, error) { return struct{}{}, errors.New("no state") },
-		func() *reduceAcc { return &reduceAcc{} },
-		items,
-		func(_ struct{}, _ *reduceAcc, _ int, _ int) error { return nil },
-		func(dst, src *reduceAcc) {})
-	if err == nil || !strings.Contains(err.Error(), "no state") {
-		t.Errorf("state error not surfaced: %v", err)
-	}
-}
-
 // TestMonitorCounters pins the occupancy monitor's deltas across one Map and
 // one failing MapPooled batch: Started/Done advance by the trial count,
 // Failed by the error count, and nothing stays in flight afterwards. The

@@ -127,8 +127,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "timedice_trial_seconds{quantile=\"0.99\"} %g\n", st.TrialSecondsP99)
 	}
 
-	// Worker-pool occupancy, process-wide (runner.Map / MapPooled /
-	// ReducePooled keep these regardless of which harness is running).
+	// Worker-pool occupancy, process-wide (runner.Map / MapPooled keep
+	// these regardless of which harness is running).
 	m := runner.MonitorState()
 	counter("timedice_runner_trials_started_total", "trials claimed by pool workers", m.Started)
 	counter("timedice_runner_trials_done_total", "trials completed by pool workers", m.Done)

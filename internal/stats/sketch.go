@@ -19,15 +19,16 @@ const (
 	// bit-identical to Quantile/Quantiles.
 	sketchExactCap = 1024
 	// sketchMaxBins bounds each sign's bucket store; exceeding it collapses
-	// the lowest-magnitude buckets (a documented safety valve, see Merge).
+	// the lowest-magnitude buckets (a documented safety valve, see ensure).
 	sketchMaxBins = 4096
 )
 
-// Sketch is a mergeable streaming quantile estimator with bounded memory:
-// a logarithmic-bucket histogram (DDSketch-style) with an exact small-N
-// fallback. It exists so campaign aggregation can stream per-trial metrics
-// through per-worker sketches and merge them at fan-in, making campaign
-// memory independent of trial count.
+// Sketch is a streaming quantile estimator with bounded memory: a
+// logarithmic-bucket histogram (DDSketch-style) with an exact small-N
+// fallback. It backs the latency histograms that grow with run length —
+// the engine's policy-decision latency, the telemetry registry's
+// histograms and the campaign CLIs' per-trial wall-clock times — so their
+// memory stays constant however long a process runs.
 //
 // Two properties drive the design, both load-bearing for the repo's
 // determinism contract:
@@ -35,14 +36,10 @@ const (
 //   - Exact small-N fallback: until more than sketchExactCap samples are
 //     seen, the raw samples are retained and every quantile query is
 //     bit-identical to Quantile/Quantiles on the same multiset.
-//   - Order-independent state: a sample's bucket is a pure function of its
-//     value, never of insertion order or of the sketch's current state
-//     (unlike P² or t-digest centroids). Consequently Add order, Merge
-//     order, and Merge association all yield the identical final state:
-//     sharding a sample multiset across any number of workers and merging
-//     produces the same answers as one sequential pass. The one
-//     exception is Sum, a floating-point total whose merged value can
-//     differ by rounding depending on merge order.
+//   - Order-independent buckets: a sample's bucket is a pure function of
+//     its value, never of insertion order or of the sketch's current state
+//     (unlike P² or t-digest centroids), so the same multiset added in any
+//     order yields the same quantile answers.
 //
 // Once spilled to buckets, a quantile estimate returns the representative
 // value of the bucket containing the requested order statistic, giving
@@ -109,9 +106,8 @@ func (s *Sketch) Max() float64 {
 }
 
 // Sum returns the running total of all observations (0 with no samples),
-// accumulated from the raw values rather than bucket representatives. It is
-// the one field whose merged value can differ by rounding depending on
-// merge order.
+// accumulated in Add order from the raw values rather than bucket
+// representatives.
 func (s *Sketch) Sum() float64 { return s.sum }
 
 // Add records one observation. NaN is rejected with a panic: it has no
@@ -170,49 +166,6 @@ func (s *Sketch) indexOf(x float64) int {
 // minimizing the worst-case relative error over the bucket's range.
 func (s *Sketch) valueOf(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
-}
-
-// Merge folds o into s; o is not modified. The sketches must have been
-// created with the same accuracy. Merging is exactly associative and
-// commutative: any merge tree over the same sample multiset produces the
-// identical final state (see the type comment). The only caveat is the
-// bucket-collapse safety valve, which is deterministic but, if it ever
-// fired mid-tree, could depend on merge order; with the default accuracy
-// and bin budget it needs >10^35 dynamic range to trigger.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == s {
-		panic("stats: Sketch.Merge with itself")
-	}
-	if o.alpha != s.alpha {
-		panic(fmt.Sprintf("stats: merging sketches with different accuracies (%v vs %v)", s.alpha, o.alpha))
-	}
-	if o.count == 0 {
-		return
-	}
-	if s.count == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.count == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.count += o.count
-	s.sum += o.sum
-	if !s.spilled && !o.spilled && len(s.exact)+len(o.exact) <= sketchExactCap {
-		s.exact = append(s.exact, o.exact...)
-		return
-	}
-	if !s.spilled {
-		s.spill()
-	}
-	if !o.spilled {
-		for _, x := range o.exact {
-			s.bucketAdd(x, 1)
-		}
-		return
-	}
-	s.zeros += o.zeros
-	s.pos.merge(&o.pos)
-	s.neg.merge(&o.neg)
 }
 
 // Quantile returns the estimated q-quantile (0 ≤ q ≤ 1). While the sketch
@@ -358,39 +311,5 @@ func (st *sketchStore) ensure(idx int) {
 		st.counts = st.counts[:copy(st.counts, st.counts[cut:])]
 		st.offset += cut
 		st.counts[0] += folded
-	}
-}
-
-func (st *sketchStore) merge(o *sketchStore) {
-	for j, c := range o.counts {
-		if c != 0 {
-			st.add(o.offset+j, c)
-		}
-	}
-}
-
-// Merge folds another summary into s using the standard parallel-variance
-// combination. The result is mathematically exact but, being floating
-// point, not bit-identical to sequentially Adding the same samples — which
-// is why the streaming aggregation path that uses it sits behind a flag
-// while the exact path remains the default for paper tables.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.n = n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
 	}
 }

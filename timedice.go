@@ -405,15 +405,8 @@ var RunChannelSeeds = covert.RunSeeds
 // RunChannelSeedsParallel is RunChannelSeeds over a bounded worker pool.
 var RunChannelSeedsParallel = covert.RunSeedsParallel
 
-// RunChannelSeedsStream is RunChannelSeedsParallel with constant-memory
-// streaming aggregation (per-worker quantile sketches merged at fan-in).
-var RunChannelSeedsStream = covert.RunSeedsStream
-
 // ChannelAggregate is RunChannelSeeds' result.
 type ChannelAggregate = covert.Aggregate
-
-// ChannelStreamAggregate is RunChannelSeedsStream's result.
-type ChannelStreamAggregate = covert.StreamAggregate
 
 // Statistics helpers used by the harness outputs.
 type (
