@@ -404,7 +404,7 @@ func (p *Policy) ForkPolicy() engine.GlobalPolicy {
 func Snapshot(sys *engine.System, states []PartitionState) []PartitionState {
 	states = states[:0]
 	for _, part := range sys.Partitions {
-		srv := part.Server
+		srv := &part.Server
 		states = append(states, PartitionState{
 			Budget:        srv.Budget(),
 			Period:        srv.Period(),

@@ -379,7 +379,7 @@ func TestSnapshotMatchesServers(t *testing.T) {
 		t.Fatalf("snapshot size %d", len(states))
 	}
 	for i, st := range states {
-		srv := sys.Partitions[i].Server
+		srv := &sys.Partitions[i].Server
 		if st.Budget != srv.Budget() || st.Period != srv.Period() ||
 			st.Remaining != srv.Remaining() || st.NextReplenish != srv.Deadline() {
 			t.Errorf("state %d mismatch: %+v", i, st)

@@ -230,8 +230,9 @@ type Result struct {
 // the test phase (the §III-d learning-based approach).
 //
 // Run is the one-shot form of the trial Harness: campaigns that sweep many
-// seeds over one configuration should build a Harness (or use RunSeeds,
-// which does) and reuse it instead of reconstructing the system per trial.
+// seeds over one configuration should build a Harness (or use
+// experiments.Campaign, which does) and reuse it instead of reconstructing
+// the system per trial.
 func Run(cfg Config, vecTrainers ...ml.Trainer) (*Result, error) {
 	h, err := NewHarness(cfg)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // the ~system's worth of allocations per trial that construction would cost.
 //
 // A Harness is single-threaded, like the simulation it owns. Campaigns
-// parallelize by giving each worker its own Harness (see RunSeeds /
-// RunSeedsParallel, built on runner.MapPooled).
+// parallelize by giving each worker its own Harness (see
+// experiments.Campaign, built on runner.MapPooled).
 type Harness struct {
 	cfg     Config // filled copy
 	sys     *engine.System

@@ -128,7 +128,10 @@ func buildSparse(tb testing.TB, n int) *engine.System {
 // the gap (≥10× at P=4096, CI-gated) is the partition-axis speedup
 // EXPERIMENTS.md records.
 //
-// Besides ns/op, each run reports B/qpart-step: the engine's deterministic
+// Besides ns/op, each run reports ns/step (the cost of one decision step; the
+// number of steps per simulated millisecond grows with the cold partitions'
+// event rate, so per-step cost is the figure to compare across P) and
+// B/qpart-step: the engine's deterministic
 // cache-traffic proxy (Counters.ArenaBytesTouched) per step per quiescent
 // partition (P−3 of the sparse workload's partitions are cold at any given
 // millisecond). Indexed stepping never visits a quiescent partition, so the
@@ -156,6 +159,9 @@ func BenchmarkEngineStepScale(b *testing.B) {
 				// One decision per step, so Decisions counts steps exactly.
 				steps := sys.Counters.Decisions - before.Decisions
 				bytes := sys.Counters.ArenaBytesTouched - before.ArenaBytesTouched
+				if steps > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+				}
 				if quiescent := n - 3; quiescent > 0 && steps > 0 {
 					b.ReportMetric(float64(bytes)/float64(steps)/float64(quiescent), "B/qpart-step")
 				}

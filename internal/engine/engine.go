@@ -14,7 +14,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"timedice/internal/bitset"
@@ -153,9 +152,10 @@ type Counters struct {
 
 // Cache-traffic proxy constants for Counters.ArenaBytesTouched. The arena
 // stride is one partition's slot across the four hot arrays the engine owns
-// (nextEv + remaining + deadline + supply, 8 bytes each); a partition visit
-// charges one cache line for the pointer chase into its server and local
-// scheduler; a heap node is one IndexMin slot (int32 id + 8-byte key).
+// (heap key + remaining + deadline + supply, 8 bytes each); a partition visit
+// charges one cache line for the partition's record (its server and local
+// scheduler, see partition.Partition); a heap node is one IndexMin position
+// (int32 id + 8-byte key).
 const (
 	arenaStrideBytes = 4 * 8
 	partVisitBytes   = 64
@@ -182,20 +182,17 @@ type System struct {
 	running int // index of last picked partition, or -1
 	perPart []vtime.Duration
 
-	// nextEv caches each partition's NextLocalEvent (earliest replenishment
-	// or task arrival). An entry is exact between refreshes: a partition's
-	// next event can only change when events due at or before now are
-	// delivered to it, or when it executes (budget consumption schedules the
-	// replacement replenishment) — both sites refresh the entry. This lets
-	// step skip the full-partition delivery and horizon scans for quiescent
-	// partitions. Entries start at zero so the first step touches everyone
-	// (task arrival anchors are computed lazily on first delivery).
-	nextEv []vtime.Time
-	// evq mirrors nextEv as a 4-ary index-min heap: evq.Key(i) == nextEv[i]
-	// at every instant (setNextEv writes both). The heap answers the two
-	// questions step asks of nextEv — "who is due?" (CollectDue) and "what is
-	// the earliest future event?" (MinKey) — in time proportional to the
-	// answer instead of O(P).
+	// evq caches each partition's NextLocalEvent (earliest replenishment or
+	// task arrival) as the key of a 4-ary index-min heap, evq.Key(i). A key
+	// is exact between refreshes: a partition's next event can only change
+	// when events due at or before now are delivered to it, or when it
+	// executes (budget consumption schedules the replacement replenishment)
+	// — both sites refresh it through publishHot. The heap answers the two
+	// questions step asks — "who is due?" (CollectDue) and "what is the
+	// earliest future event?" (MinKey) — in time proportional to the answer
+	// instead of O(P), so step skips quiescent partitions entirely. Keys
+	// start at zero so the first step touches everyone (task arrival anchors
+	// are computed lazily on first delivery).
 	evq *eventq.IndexMin
 	// ready is a two-level hierarchical bitset over partition indices with
 	// bit i set iff Partitions[i].Runnable() (active server ∧ ready work). It
@@ -214,12 +211,12 @@ type System struct {
 	// sites that can move them — event delivery (publishHot), execution
 	// (publishHot), and an idle-budget discard (remaining only). hotBudget
 	// and hotPeriod are the constant B_i/T_i columns, filled once. Together
-	// with nextEv they are the per-step working set: a step over a mostly
-	// quiescent system reads a few contiguous cache lines here instead of
-	// pointer-chasing P server/scheduler structs. core.Policy's batched
-	// Algorithm-3 path reads them through Hot() — the same exactness contract
-	// as nextEv applies (any engine-side mutation of a quantity mirrored here
-	// must go through publishHot), and internal/gen's
+	// with the heap keys they are the per-step working set: a step over a
+	// mostly quiescent system reads a few contiguous cache lines here instead
+	// of visiting P partition records. core.Policy's batched Algorithm-3
+	// path reads them through Hot() — the same exactness contract as the
+	// heap keys applies (any engine-side mutation of a quantity mirrored
+	// here must go through publishHot), and internal/gen's
 	// TestReferenceDigestsMatch pins it: its reference policy re-reads the
 	// live servers, so a stale arena entry flips a decision and shows up as
 	// a digest mismatch.
@@ -235,8 +232,11 @@ type System struct {
 	// unconditional (vtime.Reciprocal), so the arena carries no extra
 	// invalidation obligations — it is as constant as hotPeriod itself.
 	hotRecip []vtime.Reciprocal
-	// dueBuf is the reusable scratch for the delivery phase's due set.
-	dueBuf []int32
+	// dueBuf is the reusable scratch for the delivery phase's due set, and
+	// dueMark the always-empty-between-steps set that puts it in ascending
+	// order (sortDue).
+	dueBuf  []int32
+	dueMark *bitset.Hier
 
 	// runnableBuf is the reusable backing array for Runnable.
 	runnableBuf []*partition.Partition
@@ -293,7 +293,6 @@ func New(parts []*partition.Partition, policy GlobalPolicy, rnd *rng.Rand) (*Sys
 		Rand:         rnd,
 		running:      -1,
 		perPart:      make([]vtime.Duration, len(ordered)),
-		nextEv:       make([]vtime.Time, len(ordered)),
 		evq:          eventq.NewIndexMin(len(ordered)),
 		ready:        bitset.New(len(ordered)),
 		hotRemaining: make([]vtime.Duration, len(ordered)),
@@ -303,18 +302,25 @@ func New(parts []*partition.Partition, policy GlobalPolicy, rnd *rng.Rand) (*Sys
 		hotPeriod:    make([]vtime.Duration, len(ordered)),
 		hotRecip:     make([]vtime.Reciprocal, len(ordered)),
 		dueBuf:       make([]int32, 0, len(ordered)),
+		dueMark:      bitset.New(len(ordered)),
 		runnableBuf:  make([]*partition.Partition, 0, len(ordered)),
 		stamps:       make([]uint64, len(ordered)),
 	}
 	s.initHotArenas()
-	// The lifecycle observers are installed unconditionally: they maintain
-	// the always-on Counters (deadline misses) and forward to the telemetry
-	// sink when one is attached. With no sink each callback is a nil check.
-	for i, p := range ordered {
-		obs := &partObserver{sys: s, part: i}
-		p.SetObservers(obs, obs)
-	}
+	s.observeAll()
 	return s, nil
+}
+
+// observeAll installs the system as the lifecycle observer of every
+// partition, tagged with the partition's index. It is installed
+// unconditionally: it maintains the always-on Counters (deadline misses) and
+// forwards to the telemetry sink when one is attached. With no sink each
+// callback is a nil check. The observer is the System itself, so a callback
+// touches the partition's record and the System and nothing else.
+func (s *System) observeAll() {
+	for _, p := range s.Partitions {
+		p.SetObserver((*observer)(s))
+	}
 }
 
 // AttachTelemetry connects a telemetry sink to the system. All subsequent
@@ -327,92 +333,88 @@ func (s *System) AttachTelemetry(sink telemetry.Sink) { s.sink = sink }
 // Telemetry returns the attached sink, or nil.
 func (s *System) Telemetry() telemetry.Sink { return s.sink }
 
-// partObserver forwards one partition's job and budget lifecycle into the
-// system: always-on counters plus the telemetry sink when attached. It
-// implements task.Observer and server.Observer.
-type partObserver struct {
-	sys  *System
-	part int
-}
+// observer forwards every partition's job and budget lifecycle into the
+// system: always-on counters plus the telemetry sink when attached. It is
+// the System under a type whose methods do not join System's API; the
+// callback tag is the partition's index.
+type observer System
 
-var (
-	_ task.Observer = (*partObserver)(nil)
-)
+var _ partition.Observer = (*observer)(nil)
 
-func (o *partObserver) JobReleased(j *task.Job) {
-	o.sys.bumpStamp(o.part)
-	if sink := o.sys.sink; sink != nil {
+func (o *observer) JobReleased(part int, j *task.Job) {
+	(*System)(o).bumpStamp(part)
+	if sink := o.sink; sink != nil {
 		sink.Event(telemetry.Event{
 			Time: j.Arrival, Kind: telemetry.KindTaskArrival,
-			Partition: o.part, Task: j.Task.Name, Job: j.Index,
+			Partition: part, Task: j.Task.Name, Job: j.Index,
 		})
 	}
 }
 
-func (o *partObserver) JobDispatched(j *task.Job, at vtime.Time, first bool) {
-	if sink := o.sys.sink; sink != nil {
+func (o *observer) JobDispatched(part int, j *task.Job, at vtime.Time, first bool) {
+	if sink := o.sink; sink != nil {
 		var aux int64
 		if first {
 			aux = 1
 		}
 		sink.Event(telemetry.Event{
 			Time: at, Kind: telemetry.KindTaskStart,
-			Partition: o.part, Task: j.Task.Name, Job: j.Index, Aux: aux,
+			Partition: part, Task: j.Task.Name, Job: j.Index, Aux: aux,
 		})
 	}
 }
 
-func (o *partObserver) JobPreempted(j *task.Job, at vtime.Time) {
-	if sink := o.sys.sink; sink != nil {
+func (o *observer) JobPreempted(part int, j *task.Job, at vtime.Time) {
+	if sink := o.sink; sink != nil {
 		sink.Event(telemetry.Event{
 			Time: at, Kind: telemetry.KindTaskPreempt,
-			Partition: o.part, Task: j.Task.Name, Job: j.Index,
+			Partition: part, Task: j.Task.Name, Job: j.Index,
 		})
 	}
 }
 
-func (o *partObserver) JobCompleted(c task.Completion) {
-	o.sys.bumpStamp(o.part)
+func (o *observer) JobCompleted(part int, c task.Completion) {
+	(*System)(o).bumpStamp(part)
 	lateness := c.Response - c.Job.Task.EffectiveDeadline()
 	if lateness > 0 {
-		o.sys.Counters.DeadlineMisses++
+		o.Counters.DeadlineMisses++
 	}
-	if sink := o.sys.sink; sink != nil {
+	if sink := o.sink; sink != nil {
 		sink.Event(telemetry.Event{
 			Time: c.Finish, Kind: telemetry.KindTaskComplete,
-			Partition: o.part, Task: c.Job.Task.Name, Job: c.Job.Index,
+			Partition: part, Task: c.Job.Task.Name, Job: c.Job.Index,
 			Dur: c.Response,
 		})
 		if lateness > 0 {
 			sink.Event(telemetry.Event{
 				Time: c.Finish, Kind: telemetry.KindDeadlineMiss,
-				Partition: o.part, Task: c.Job.Task.Name, Job: c.Job.Index,
+				Partition: part, Task: c.Job.Task.Name, Job: c.Job.Index,
 				Dur: lateness,
 			})
 		}
 	}
 }
 
-func (o *partObserver) Replenished(at vtime.Time, amount, remaining vtime.Duration) {
-	o.sys.bumpStamp(o.part)
-	if sink := o.sys.sink; sink != nil {
+func (o *observer) Replenished(part int, at vtime.Time, amount, remaining vtime.Duration) {
+	(*System)(o).bumpStamp(part)
+	if sink := o.sink; sink != nil {
 		sink.Event(telemetry.Event{
 			Time: at, Kind: telemetry.KindBudgetReplenish,
-			Partition: o.part, Dur: amount, Aux: int64(remaining),
+			Partition: part, Dur: amount, Aux: int64(remaining),
 		})
 	}
 }
 
-func (o *partObserver) Depleted(at vtime.Time, discarded vtime.Duration) {
-	o.sys.bumpStamp(o.part)
-	if sink := o.sys.sink; sink != nil {
+func (o *observer) Depleted(part int, at vtime.Time, discarded vtime.Duration) {
+	(*System)(o).bumpStamp(part)
+	if sink := o.sink; sink != nil {
 		var aux int64
 		if discarded > 0 {
 			aux = 1
 		}
 		sink.Event(telemetry.Event{
 			Time: at, Kind: telemetry.KindBudgetDeplete,
-			Partition: o.part, Dur: discarded, Aux: aux,
+			Partition: part, Dur: discarded, Aux: aux,
 		})
 	}
 }
@@ -433,23 +435,16 @@ func (s *System) bumpStamp(i int) {
 	s.stamps[i] = s.epoch
 }
 
-// setNextEv refreshes partition i's cached next-local-event time in both the
-// linear cache and the index-min heap, keeping the two views identical.
-func (s *System) setNextEv(i int, t vtime.Time) {
-	s.nextEv[i] = t
-	s.evq.Update(i, t)
-}
-
 // publishHot writes one partition's freshly gathered hot-state snapshot into
-// the struct-of-arrays arenas, the next-event cache/heap, and the ready
-// bitset. This is the single write path for everything a decision reads from
-// the arenas; the two sites that can move any of these quantities — event
+// the struct-of-arrays arenas, the next-event heap, and the ready bitset.
+// This is the single write path for everything a decision reads from the
+// arenas; the two sites that can move any of these quantities — event
 // delivery and execution — both funnel through it.
 func (s *System) publishHot(i int, h partition.HotState) {
 	s.hotRemaining[i] = h.Remaining
 	s.hotDeadline[i] = h.Deadline
 	s.hotSupply[i] = h.Supply
-	s.setNextEv(i, h.NextEvent)
+	s.evq.Update(i, h.NextEvent)
 	if h.Runnable {
 		s.ready.Set(i)
 	} else {
@@ -464,12 +459,12 @@ func (s *System) publishHot(i int, h partition.HotState) {
 // lazy until the first delivery, so spec transforms that rewrite offsets
 // between build and run (BLINDER's release quantization) still take effect.
 // The ready bits start clear — no jobs are released before the first step —
-// and nextEv entries start at zero, so the first step delivers to (and fully
+// and the heap keys start at zero, so the first step delivers to (and fully
 // publishes) every partition. Both New and Reset run it, so the reciprocal
 // constants are rederived alongside the other columns on reuse.
 func (s *System) initHotArenas() {
 	for i, p := range s.Partitions {
-		srv := p.Server
+		srv := &p.Server
 		s.hotBudget[i] = srv.Budget()
 		s.hotPeriod[i] = srv.Period()
 		s.hotRecip[i] = vtime.NewReciprocal(srv.Period())
@@ -576,8 +571,10 @@ func (s *System) Step(until vtime.Time) {
 
 // deliver applies all events due at or before now to partition i:
 // replenishment-boundary advance and job releases, then publishes the
-// partition's refreshed hot state (arenas, next-event cache/heap, ready bit)
-// in one gathered snapshot.
+// partition's refreshed hot state (arenas, next-event heap, ready bit) in one
+// gathered snapshot. Everything it reads of the partition — the server's
+// budget fields, the scheduler's task state, the task descriptor, the job
+// record and the observer tag — sits in the partition's one record.
 func (s *System) deliver(i int, p *partition.Partition, now vtime.Time) {
 	// Delivery can change the partition's replenishment anchors even without
 	// firing an observer callback (a boundary advance that restores an
@@ -600,7 +597,7 @@ func (s *System) deliver(i int, p *partition.Partition, now vtime.Time) {
 // replenishment (delivery — in due). Any partition outside the set that is
 // idle-active now was already idle-active when it was last touched, and its
 // server discarded then. The first step after construction or Reset
-// delivers to every partition (nextEv entries start at zero), which covers
+// delivers to every partition (the heap keys start at zero), which covers
 // the initial full-budget/no-jobs state. Visiting in ascending index order
 // replays the Depleted-event order of a scan over every partition exactly.
 func (s *System) noteIdleTouched(now vtime.Time, due []int32) {
@@ -634,6 +631,26 @@ func (s *System) noteIdleOne(i int, now vtime.Time) {
 	}
 }
 
+// sortDue puts the due set in ascending order by marking it in dueMark and
+// walking the marks, then clears them again: O(due + occupied groups) and
+// free of the data-dependent branches with which a comparison sort
+// mispredicts through the bursts of simultaneously released partitions
+// (about 170 at once in workload.Sparse(16384)).
+func (s *System) sortDue(due []int32) {
+	for _, i := range due {
+		s.dueMark.Set(int(i))
+	}
+	k := 0
+	s.dueMark.ForEachSet(func(i int) bool {
+		due[k] = int32(i)
+		k++
+		return true
+	})
+	for _, i := range due {
+		s.dueMark.Clear(int(i))
+	}
+}
+
 // step is one decision step: it delivers the due set, then hands the
 // earliest pending local event to decideAndExecute as the starting horizon.
 func (s *System) step(until vtime.Time) {
@@ -645,7 +662,9 @@ func (s *System) step(until vtime.Time) {
 	// heap descent and is sorted, so delivery runs in ascending partition
 	// index, the order a scan over every partition would use.
 	due := s.evq.CollectDue(now, s.dueBuf[:0])
-	slices.Sort(due)
+	if len(due) > 1 {
+		s.sortDue(due)
+	}
 	s.dueBuf = due
 	for _, i := range due {
 		s.deliver(int(i), s.Partitions[i], now)
@@ -666,7 +685,7 @@ func (s *System) step(until vtime.Time) {
 		int64(s.ready.SummaryWords()+s.ready.OccupiedGroups())*8 +
 		8 // MinKey root read below
 
-	// MinKey == min(nextEv): the heap mirrors the cache exactly.
+	// MinKey is the earliest pending local event of any partition.
 	s.decideAndExecute(until, min(until, s.evq.MinKey()))
 }
 
@@ -710,7 +729,7 @@ func (s *System) decideAndExecute(until, horizon vtime.Time) {
 	}
 
 	// The slice ends at the earliest of: the horizon (until, or any
-	// partition's next replenishment or arrival — exact, see nextEv), the
+	// partition's next replenishment or arrival — exact, see evq), the
 	// quantum boundary, and — if a partition runs — its budget depletion or
 	// current-job completion.
 	if q := s.Policy.Quantum(); q > 0 {
@@ -755,7 +774,7 @@ func (s *System) decideAndExecute(until, horizon vtime.Time) {
 		pick.Server.Consume(now, used)
 		// Consuming budget schedules the replacement replenishment, so the
 		// executed partition's next event may have moved; republish its hot
-		// state (arena columns, next-event cache/heap, ready bit). For a
+		// state (arena columns, next-event heap, ready bit). For a
 		// sporadic server the consumption also queues a future supply chunk,
 		// which shifts the partition's supply stream mid-epoch — a
 		// discontinuous change the verdict cache must observe. Plain budget
@@ -896,7 +915,6 @@ func (s *System) Reset() {
 	s.epoch = 0
 	for i := range s.perPart {
 		s.perPart[i] = 0
-		s.nextEv[i] = 0
 		s.stamps[i] = 0
 	}
 	s.evq.Reset()

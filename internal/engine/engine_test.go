@@ -41,8 +41,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := engine.New(nil, sched.FixedPriority{}, nil); err == nil {
 		t.Error("empty partition list accepted")
 	}
-	p1, _ := partition.New("a", 1, server.MustNew(1, 2, server.Polling), nil)
-	p2, _ := partition.New("b", 1, server.MustNew(1, 2, server.Polling), nil)
+	p1, _ := partition.New("a", 1, 1, 2, server.Polling, nil)
+	p2, _ := partition.New("b", 1, 1, 2, server.Polling, nil)
 	if _, err := engine.New([]*partition.Partition{p1, p2}, sched.FixedPriority{}, nil); err == nil {
 		t.Error("duplicate priorities accepted")
 	}
@@ -52,8 +52,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPrioritySortOnConstruction(t *testing.T) {
-	pLow, _ := partition.New("low", 5, server.MustNew(1, 10, server.Polling), nil)
-	pHigh, _ := partition.New("high", 1, server.MustNew(1, 10, server.Polling), nil)
+	pLow, _ := partition.New("low", 5, 1, 10, server.Polling, nil)
+	pHigh, _ := partition.New("high", 1, 1, 10, server.Polling, nil)
 	sys, err := engine.New([]*partition.Partition{pLow, pHigh}, sched.FixedPriority{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@ func (s *System) RunScan(until vtime.Time) {
 }
 
 // scanStep is the reference for step's due-set phase. Instead of the event
-// heap it scans nextEv for delivery, gives every partition the polling-idle
-// notification, and takes the horizon as the minimum over nextEv; then it
+// heap's CollectDue and MinKey it reads every partition's key for delivery,
+// gives every partition the polling-idle notification, and takes the horizon
+// as the minimum over the keys; then it
 // shares step's decideAndExecute. Pick, Runnable, FirstRunnable and the
 // inversion check all read the ready bitset, so before the shared tail the
 // stepper asserts that every bit equals the partition's live runnability.
@@ -26,7 +27,7 @@ func (s *System) scanStep(until vtime.Time) {
 	now := s.now
 	delivered := 0
 	for i, p := range s.Partitions {
-		if s.nextEv[i] <= now {
+		if s.evq.Key(i) <= now {
 			s.deliver(i, p, now)
 			delivered++
 		}
@@ -36,9 +37,9 @@ func (s *System) scanStep(until vtime.Time) {
 			s.hotRemaining[i] = 0
 		}
 	}
-	// Cache-traffic proxy: the delivery scan reads nextEv for every
-	// partition, NoteIdle pointer-chases every partition, and the horizon
-	// reduce reads nextEv again — O(P) bytes per step even when nothing is
+	// Cache-traffic proxy: the delivery scan reads every heap key,
+	// NoteIdle visits every partition's record, and the horizon reduce
+	// reads the keys again — O(P) bytes per step even when nothing is
 	// due.
 	s.Counters.ArenaBytesTouched += int64(len(s.Partitions))*(8+partVisitBytes+8) +
 		int64(delivered)*(arenaStrideBytes+partVisitBytes)
@@ -49,7 +50,7 @@ func (s *System) scanStep(until vtime.Time) {
 			panic(fmt.Sprintf("engine: at %v ready bit %d = %v, live runnability %v",
 				now, i, s.ready.Test(i), p.Runnable()))
 		}
-		horizon = min(horizon, s.nextEv[i])
+		horizon = min(horizon, s.evq.Key(i))
 	}
 	s.decideAndExecute(until, horizon)
 }

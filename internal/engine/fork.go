@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"timedice/internal/bitset"
-	"timedice/internal/eventq"
 	"timedice/internal/partition"
 )
 
@@ -27,10 +26,10 @@ type PolicyForker interface {
 }
 
 // Fork returns an independent deep copy of the system at the current step
-// boundary: cloned partitions (servers, schedulers, pending jobs), a cloned
-// RNG position, the State counter rows (Work and Host rows start at zero,
-// see CounterClass), and rebuilt index structures sharing no mutable memory
-// with the parent. Running the fork to a horizon is
+// boundary: cloned partitions (each in a record of its own with its server,
+// scheduler, task descriptors and pending jobs), a cloned RNG position, the
+// State counter rows (Work and Host rows start at zero, see CounterClass),
+// and copied index structures sharing no mutable memory with the parent. Running the fork to a horizon is
 // digest-identical to running the parent there; the two only diverge through
 // injected differences (reseeding the fork's Rand, swapping its Policy).
 //
@@ -59,8 +58,7 @@ func (s *System) Fork() *System {
 		now:            s.now,
 		running:        s.running,
 		perPart:        slices.Clone(s.perPart),
-		nextEv:         slices.Clone(s.nextEv),
-		evq:            eventq.NewIndexMin(n),
+		evq:            s.evq.Clone(),
 		ready:          bitset.New(n),
 		hotRemaining:   slices.Clone(s.hotRemaining),
 		hotDeadline:    slices.Clone(s.hotDeadline),
@@ -69,24 +67,18 @@ func (s *System) Fork() *System {
 		hotPeriod:      slices.Clone(s.hotPeriod),
 		hotRecip:       slices.Clone(s.hotRecip),
 		dueBuf:         make([]int32, 0, n),
+		dueMark:        bitset.New(n),
 		runnableBuf:    make([]*partition.Partition, 0, n),
 		epoch:          s.epoch,
 		stamps:         slices.Clone(s.stamps),
 		invOpen:        s.invOpen,
 		invStart:       s.invStart,
 	}
-	// Rebuild the heap from the copied keys (layout among equal keys is
-	// unobservable) and the ready set from the parent's bits.
-	for i, t := range f.nextEv {
-		f.evq.Update(i, t)
-	}
+	// Rebuild the ready set from the parent's bits.
 	s.ready.ForEachSet(func(i int) bool {
 		f.ready.Set(i)
 		return true
 	})
-	for i, p := range parts {
-		obs := &partObserver{sys: f, part: i}
-		p.SetObservers(obs, obs)
-	}
+	f.observeAll()
 	return f
 }

@@ -11,17 +11,17 @@ package engine
 //
 //   - Captured verbatim: the clock, the last pick, the epoch/stamps of the
 //     verdict cache, the State counter rows, the inversion-window edge
-//     state, the RNG position, per-partition consumed time, the nextEv
-//     cache, and the full server/local-scheduler state (budgets,
+//     state, the RNG position, per-partition consumed time, the next-event
+//     heap keys, and the full server/local-scheduler state (budgets,
 //     replenishment chunk queues, pending job rings, arrival anchors, the
-//     in-flight job). nextEv in particular must never be recomputed: its
-//     entries are defined by the engine's lazy refresh discipline (arrival
-//     anchors initialize on first delivery), and recomputing them would
-//     deliver differently than the straight line.
+//     in-flight job). The heap keys in particular must never be recomputed:
+//     their values are defined by the engine's lazy refresh discipline
+//     (arrival anchors initialize on first delivery), and recomputing them
+//     would deliver differently than the straight line.
 //   - Recomputed on restore: the SoA hot arenas and the ready bitset, which
 //     are pure functions of the restored server/scheduler state at a step
 //     boundary (publishHot invariant), and the IndexMin heap layout, which is
-//     rebuilt from the restored nextEv keys (heap shape among equal keys is
+//     rebuilt from the restored keys (heap shape among equal keys is
 //     unobservable: due-set delivery is sorted and MinKey is a minimum).
 //   - Flushed: the policy's decision state (verdict cache, search reuse)
 //     via PolicyResetter. Both are exact — pinned digest-identical to an
@@ -104,7 +104,7 @@ func (s *System) appendSnapshot(b []byte) []byte {
 	var replBuf []eventq.Entry[vtime.Duration]
 	for i, p := range s.Partitions {
 		b = appendI64(b, int64(s.perPart[i]))
-		b = appendI64(b, int64(s.nextEv[i]))
+		b = appendI64(b, int64(s.evq.Key(i)))
 		b = appendU64(b, s.stamps[i])
 		srv := p.Server.SaveState(replBuf[:0])
 		replBuf = srv.Repl
@@ -165,9 +165,9 @@ func (s *System) configFingerprint() uint64 {
 		foldU64(uint64(p.Server.Budget()))
 		foldU64(uint64(p.Server.Period()))
 		foldU64(uint64(p.Server.PolicyKind()))
-		tasks := p.Local.Tasks()
-		foldU64(uint64(len(tasks)))
-		for _, t := range tasks {
+		foldU64(uint64(p.Local.NumTasks()))
+		for j := range p.Local.NumTasks() {
+			t := p.Local.Task(j)
 			foldStr(t.Name)
 			foldU64(uint64(t.Period))
 			foldU64(uint64(t.WCET))
@@ -252,11 +252,11 @@ type snapState struct {
 }
 
 type snapPart struct {
-	perPart vtime.Duration
-	nextEv  vtime.Time
-	stamp   uint64
-	srv     server.State
-	sched   task.SchedulerState
+	perPart   vtime.Duration
+	nextEvent vtime.Time
+	stamp     uint64
+	srv       server.State
+	sched     task.SchedulerState
 }
 
 // Restore replaces the system's dynamic state with a snapshot previously
@@ -345,7 +345,7 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 	for i, p := range s.Partitions {
 		sp := &st.parts[i]
 		sp.perPart = r.dur()
-		sp.nextEv = r.time()
+		sp.nextEvent = r.time()
 		sp.stamp = r.u64()
 		sp.srv.Remaining = r.dur()
 		sp.srv.LastReplenish = r.time()
@@ -356,7 +356,7 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 		sp.sched.Completed = r.i64()
 		sp.sched.InFlightTask = r.i64()
 		sp.sched.InFlightJob = r.i64()
-		nTasks := len(p.Local.Tasks())
+		nTasks := p.Local.NumTasks()
 		sp.sched.Tasks = make([]task.TaskState, nTasks)
 		for t := 0; t < nTasks; t++ {
 			ts := &sp.sched.Tasks[t]
@@ -377,7 +377,7 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 			return nil, fmt.Errorf("engine: snapshot partition %d has negative consumed time", i)
 		}
 		perPartSum += sp.perPart
-		if sp.nextEv < 0 {
+		if sp.nextEvent < 0 {
 			return nil, fmt.Errorf("engine: snapshot partition %d has negative next-event time", i)
 		}
 		if sp.stamp > st.epoch {
@@ -433,7 +433,7 @@ func (s *System) applySnapshot(st *snapState) error {
 	for i, p := range s.Partitions {
 		s.perPart[i] = st.parts[i].perPart
 		s.stamps[i] = st.parts[i].stamp
-		s.setNextEv(i, st.parts[i].nextEv)
+		s.evq.Update(i, st.parts[i].nextEvent)
 		// The arenas and the ready bit are pure functions of the restored
 		// server/scheduler state at a step boundary; recompute rather than
 		// serialize (the publishHot invariant keeps them exact either way).

@@ -1,6 +1,10 @@
 package eventq
 
-import "timedice/internal/vtime"
+import (
+	"slices"
+
+	"timedice/internal/vtime"
+)
 
 // IndexMin is a 4-ary indexed min-heap over the fixed element universe
 // 0..n-1, keyed by vtime.Time. Every element is always resident — there is
@@ -15,12 +19,17 @@ import "timedice/internal/vtime"
 //   - CollectDue(t, buf): every element with key ≤ t, by pruned heap
 //     descent — cost O(due·4), independent of n when nothing is due.
 //
+// Keys are stored by heap position, beside the element ids, not by element:
+// a sift level compares the four children of a node as one contiguous block
+// of hk instead of four scattered key[heap[c]] loads, and CollectDue prunes
+// on hk directly. Key(i) reads through pos.
+//
 // Heap order among equal keys is unspecified (it depends on the update
 // history); callers that need a deterministic ordering of due elements must
 // sort the CollectDue result themselves. All operations are allocation-free
 // once the internal scratch stack has grown to its high-water mark.
 type IndexMin struct {
-	key  []vtime.Time // element id -> key
+	hk   []vtime.Time // heap position -> key
 	heap []int32      // heap position -> element id
 	pos  []int32      // element id -> heap position
 	// stack is the retained scratch for CollectDue's pruned descent.
@@ -30,7 +39,7 @@ type IndexMin struct {
 // NewIndexMin returns a heap over elements 0..n-1, all with key zero.
 func NewIndexMin(n int) *IndexMin {
 	q := &IndexMin{
-		key:   make([]vtime.Time, n),
+		hk:    make([]vtime.Time, n),
 		heap:  make([]int32, n),
 		pos:   make([]int32, n),
 		stack: make([]int32, 0, n),
@@ -42,32 +51,40 @@ func NewIndexMin(n int) *IndexMin {
 	return q
 }
 
+// Clone returns an independent copy with the same keys and layout.
+func (q *IndexMin) Clone() *IndexMin {
+	return &IndexMin{
+		hk:    slices.Clone(q.hk),
+		heap:  slices.Clone(q.heap),
+		pos:   slices.Clone(q.pos),
+		stack: make([]int32, 0, len(q.hk)),
+	}
+}
+
 // Len returns the (fixed) number of elements.
-func (q *IndexMin) Len() int { return len(q.key) }
+func (q *IndexMin) Len() int { return len(q.hk) }
 
 // Key returns element i's current key.
-func (q *IndexMin) Key(i int) vtime.Time { return q.key[i] }
+func (q *IndexMin) Key(i int) vtime.Time { return q.hk[q.pos[i]] }
 
 // MinKey returns the smallest key, or vtime.Infinity if the heap is empty.
 func (q *IndexMin) MinKey() vtime.Time {
-	if len(q.heap) == 0 {
+	if len(q.hk) == 0 {
 		return vtime.Infinity
 	}
-	return q.key[q.heap[0]]
+	return q.hk[0]
 }
 
 // Update sets element i's key to k and restores heap order. Setting the key
 // it already has is a no-op.
 func (q *IndexMin) Update(i int, k vtime.Time) {
-	old := q.key[i]
-	if k == old {
-		return
-	}
-	q.key[i] = k
-	if k < old {
-		q.up(q.pos[i])
-	} else {
-		q.down(q.pos[i])
+	p := q.pos[i]
+	old := q.hk[p]
+	switch {
+	case k < old:
+		q.up(p, int32(i), k)
+	case k > old:
+		q.down(p, int32(i), k)
 	}
 }
 
@@ -76,18 +93,18 @@ func (q *IndexMin) Update(i int, k vtime.Time) {
 // descent prunes any subtree whose root key exceeds t, so the cost is
 // proportional to the number of due elements (times the arity), not to n.
 func (q *IndexMin) CollectDue(t vtime.Time, out []int32) []int32 {
-	if len(q.heap) == 0 || q.key[q.heap[0]] > t {
+	if len(q.hk) == 0 || q.hk[0] > t {
 		return out
 	}
 	stack := append(q.stack[:0], 0)
-	n := int32(len(q.heap))
+	n := int32(len(q.hk))
 	for len(stack) > 0 {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, q.heap[node])
 		c := 4*node + 1
-		for end := c + 4; c < end && c < n; c++ {
-			if q.key[q.heap[c]] <= t {
+		for end := min(c+4, n); c < end; c++ {
+			if q.hk[c] <= t {
 				stack = append(stack, c)
 			}
 		}
@@ -99,44 +116,55 @@ func (q *IndexMin) CollectDue(t vtime.Time, out []int32) []int32 {
 // Reset restores the initial state: all keys zero, identity layout. Retains
 // capacity.
 func (q *IndexMin) Reset() {
-	for i := range q.key {
-		q.key[i] = 0
+	for i := range q.hk {
+		q.hk[i] = 0
 		q.heap[i] = int32(i)
 		q.pos[i] = int32(i)
 	}
 }
 
-func (q *IndexMin) swap(a, b int32) {
-	ia, ib := q.heap[a], q.heap[b]
-	q.heap[a], q.heap[b] = ib, ia
-	q.pos[ia], q.pos[ib] = b, a
+// place puts element id with key k at heap position p.
+func (q *IndexMin) place(p, id int32, k vtime.Time) {
+	q.hk[p] = k
+	q.heap[p] = id
+	q.pos[id] = p
 }
 
-func (q *IndexMin) up(i int32) {
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if q.key[q.heap[i]] >= q.key[q.heap[parent]] {
-			return
+// up moves element id, whose key dropped to k, from position p toward the
+// root: each strictly larger parent shifts down one level into the hole.
+func (q *IndexMin) up(p, id int32, k vtime.Time) {
+	for p > 0 {
+		parent := (p - 1) >> 2
+		if k >= q.hk[parent] {
+			break
 		}
-		q.swap(i, parent)
-		i = parent
+		q.place(p, q.heap[parent], q.hk[parent])
+		p = parent
 	}
+	q.place(p, id, k)
 }
 
-func (q *IndexMin) down(i int32) {
-	n := int32(len(q.heap))
+// down moves element id, whose key rose to k, from position p toward the
+// leaves: at each level the first smallest of the contiguous child block
+// shifts up into the hole while it is strictly below k.
+func (q *IndexMin) down(p, id int32, k vtime.Time) {
+	n := int32(len(q.hk))
 	for {
-		smallest := i
-		c := 4*i + 1
-		for end := c + 4; c < end && c < n; c++ {
-			if q.key[q.heap[c]] < q.key[q.heap[smallest]] {
-				smallest = c
+		c := 4*p + 1
+		if c >= n {
+			break
+		}
+		best, bk := c, q.hk[c]
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q.hk[j] < bk {
+				best, bk = j, q.hk[j]
 			}
 		}
-		if smallest == i {
-			return
+		if bk >= k {
+			break
 		}
-		q.swap(i, smallest)
-		i = smallest
+		q.place(p, q.heap[best], bk)
+		p = best
 	}
+	q.place(p, id, k)
 }

@@ -97,41 +97,51 @@ func TaskKey(partitionName, taskName string) string {
 }
 
 // Build realizes the spec into live partitions (priority = slice order).
+// Each partition is built in place in its own record (see partition.New);
+// Task and Sched point into those records.
 func (s SystemSpec) Build() (*Built, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	b := &Built{
-		Task:  make(map[string]*task.Task),
-		Sched: make(map[string]*task.Scheduler),
+		Partitions: make([]*partition.Partition, 0, len(s.Partitions)),
+		Task:       make(map[string]*task.Task, s.taskCount()),
+		Sched:      make(map[string]*task.Scheduler, len(s.Partitions)),
 	}
+	var tasks []task.Task // reused: partition.New copies the descriptors
 	for i, ps := range s.Partitions {
 		pol := ps.Server
 		if pol == 0 {
 			pol = server.Polling
 		}
-		srv, err := server.New(ps.Budget, ps.Period, pol)
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: %w", ps.Name, err)
-		}
-		tasks := make([]*task.Task, 0, len(ps.Tasks))
+		tasks = tasks[:0]
 		for _, ts := range ps.Tasks {
-			t := &task.Task{
+			tasks = append(tasks, task.Task{
 				Name:     ts.Name,
 				Period:   ts.Period,
 				WCET:     ts.WCET,
 				Deadline: ts.Deadline,
 				Offset:   ts.Offset,
-			}
-			tasks = append(tasks, t)
-			b.Task[TaskKey(ps.Name, ts.Name)] = t
+			})
 		}
-		part, err := partition.New(ps.Name, i, srv, tasks)
+		part, err := partition.New(ps.Name, i, ps.Budget, ps.Period, pol, tasks)
 		if err != nil {
 			return nil, err
 		}
+		for j, ts := range ps.Tasks {
+			b.Task[TaskKey(ps.Name, ts.Name)] = part.Local.Task(j)
+		}
 		b.Partitions = append(b.Partitions, part)
-		b.Sched[ps.Name] = part.Local
+		b.Sched[ps.Name] = &part.Local
 	}
 	return b, nil
+}
+
+// taskCount returns the number of tasks across all partitions.
+func (s SystemSpec) taskCount() int {
+	n := 0
+	for _, p := range s.Partitions {
+		n += len(p.Tasks)
+	}
+	return n
 }

@@ -76,7 +76,7 @@ func TestBuild(t *testing.T) {
 	if built.Sched["A"] == nil {
 		t.Error("scheduler handle missing")
 	}
-	if got := len(built.Sched["B"].Tasks()); got != 2 {
+	if got := built.Sched["B"].NumTasks(); got != 2 {
 		t.Errorf("B has %d tasks", got)
 	}
 }

@@ -15,27 +15,40 @@ import (
 // a numerically smaller Priority is a higher priority, matching the paper's
 // Pri(Π_i) > Pri(Π_{i+1}) ordering when partitions are declared in index
 // order. Priorities must be unique within a system.
+//
+// A Partition is one record: its server and its local scheduler are stored
+// by value, and the scheduler holds, for a single-task partition, the task
+// descriptor, its state and its first job inline. Delivering events to a due
+// partition therefore reads one contiguous block of memory. The server's and
+// the scheduler's fields sit at fixed offsets from the partition's address,
+// so their loads wait on no other object; only the task state is reached
+// through the scheduler's states header, inside the same record. Build one
+// with New or Clone, use it by pointer, and never copy it by value: the
+// scheduler's slices point into the record.
 type Partition struct {
-	Name     string
-	Priority int
-	Server   *server.Server
-	Local    *task.Scheduler
-
+	Server server.Server
 	// Index is the partition's position in its System's priority-ordered
-	// slice; the engine assigns it.
-	Index int
+	// slice; the engine assigns it. It sits between the server and the
+	// scheduler, on the cache line an execution step reads first.
+	Index    int
+	Local    task.Scheduler
+	Priority int
+	Name     string
 }
 
-// New builds a partition. tasks are in decreasing local-priority order.
-func New(name string, priority int, srv *server.Server, tasks []*task.Task) (*Partition, error) {
-	if srv == nil {
-		return nil, fmt.Errorf("partition %q: nil server", name)
-	}
-	local, err := task.NewScheduler(tasks)
-	if err != nil {
+// New builds a partition with a budget server of maximum budget budget
+// replenished every period under policy, and a local scheduler over copies of
+// tasks, in decreasing local-priority order. Everything is built in place in
+// the partition's record; the live task descriptors are Local.Task(j).
+func New(name string, priority int, budget, period vtime.Duration, policy server.Policy, tasks []task.Task) (*Partition, error) {
+	p := &Partition{Priority: priority, Name: name}
+	if err := p.Server.Init(budget, period, policy); err != nil {
 		return nil, fmt.Errorf("partition %q: %w", name, err)
 	}
-	return &Partition{Name: name, Priority: priority, Server: srv, Local: local}, nil
+	if err := p.Local.Init(tasks); err != nil {
+		return nil, fmt.Errorf("partition %q: %w", name, err)
+	}
+	return p, nil
 }
 
 // Active reports whether the partition has non-zero remaining budget
@@ -50,13 +63,21 @@ func (p *Partition) Runnable() bool { return p.Server.Active() && p.Local.HasRea
 // HigherPriorityThan reports whether p has strictly higher priority than o.
 func (p *Partition) HigherPriorityThan(o *Partition) bool { return p.Priority < o.Priority }
 
-// SetObservers installs the budget and job lifecycle observers on the
-// partition's server and local scheduler in one step. The engine wires the
-// telemetry plumbing through here so a partition stays the single assembly
-// point for its server + scheduler pair.
-func (p *Partition) SetObservers(to task.Observer, so server.Observer) {
-	p.Local.Observer = to
-	p.Server.SetObserver(so)
+// Observer receives both lifecycle feeds of a partition: its local
+// scheduler's job events and its server's budget events.
+type Observer interface {
+	task.Observer
+	server.Observer
+}
+
+// SetObserver installs o (nil removes it) on the partition's server and local
+// scheduler in one step, tagged with the partition's Index, so one observer
+// can serve every partition of a system. The engine wires the telemetry
+// plumbing through here so a partition stays the single assembly point for
+// its server + scheduler pair.
+func (p *Partition) SetObserver(o Observer) {
+	p.Local.SetObserver(o, p.Index)
+	p.Server.SetObserver(o, p.Index)
 }
 
 // Reset restores server and local-scheduler state for a fresh run.
@@ -65,17 +86,15 @@ func (p *Partition) Reset() {
 	p.Local.Reset()
 }
 
-// Clone returns an independent deep copy of the partition — cloned server and
-// local scheduler, shared static task descriptors — with no observers
-// installed. The engine's Fork reinstalls its own observers on the copy.
+// Clone returns an independent deep copy of the partition in a record of its
+// own — cloned server, local scheduler and task descriptors — with no
+// observer installed. The engine's Fork reinstalls its own observer on the
+// copy.
 func (p *Partition) Clone() *Partition {
-	return &Partition{
-		Name:     p.Name,
-		Priority: p.Priority,
-		Server:   p.Server.Clone(),
-		Local:    p.Local.Clone(),
-		Index:    p.Index,
-	}
+	c := &Partition{Index: p.Index, Priority: p.Priority, Name: p.Name}
+	p.Server.CloneInto(&c.Server)
+	p.Local.CloneInto(&c.Local)
+	return c
 }
 
 // NextLocalEvent returns the earliest future instant at which this partition

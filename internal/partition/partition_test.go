@@ -2,6 +2,7 @@ package partition
 
 import (
 	"testing"
+	"unsafe"
 
 	"timedice/internal/server"
 	"timedice/internal/task"
@@ -10,8 +11,8 @@ import (
 
 func newPart(t *testing.T) *Partition {
 	t.Helper()
-	p, err := New("P", 1, server.MustNew(vtime.MS(2), vtime.MS(10), server.Polling),
-		[]*task.Task{{Name: "t", Period: vtime.MS(20), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
+	p, err := New("P", 1, vtime.MS(2), vtime.MS(10), server.Polling,
+		[]task.Task{{Name: "t", Period: vtime.MS(20), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +20,11 @@ func newPart(t *testing.T) *Partition {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("x", 1, nil, nil); err == nil {
-		t.Error("nil server accepted")
+	if _, err := New("x", 1, 3, 2, server.Polling, nil); err == nil {
+		t.Error("budget above period accepted")
 	}
-	if _, err := New("x", 1, server.MustNew(1, 2, server.Polling),
-		[]*task.Task{{Name: "bad", Period: 0, WCET: 1}}); err == nil {
+	if _, err := New("x", 1, 1, 2, server.Polling,
+		[]task.Task{{Name: "bad", Period: 0, WCET: 1}}); err == nil {
 		t.Error("invalid task accepted")
 	}
 }
@@ -49,8 +50,8 @@ func TestActiveVsRunnable(t *testing.T) {
 }
 
 func TestHigherPriorityThan(t *testing.T) {
-	a, _ := New("a", 1, server.MustNew(1, 2, server.Polling), nil)
-	b, _ := New("b", 2, server.MustNew(1, 2, server.Polling), nil)
+	a, _ := New("a", 1, 1, 2, server.Polling, nil)
+	b, _ := New("b", 2, 1, 2, server.Polling, nil)
 	if !a.HigherPriorityThan(b) || b.HigherPriorityThan(a) {
 		t.Error("priority comparison broken")
 	}
@@ -76,5 +77,34 @@ func TestReset(t *testing.T) {
 	p.Reset()
 	if p.Server.Remaining() != vtime.MS(2) || p.Local.HasReady() {
 		t.Error("Reset incomplete")
+	}
+}
+
+// TestSingleTaskPartitionIsOneRecord pins the delivery-path layout: a
+// single-task partition under a boundary-replenished server is one
+// allocation (partition, server, scheduler, task state and descriptor,
+// first job), and that record fits six 64-byte cache lines, the size class
+// it is allocated from being a multiple of the line.
+func TestSingleTaskPartitionIsOneRecord(t *testing.T) {
+	tasks := []task.Task{{Name: "t", Period: vtime.MS(20), WCET: vtime.MS(1)}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := New("P", 1, vtime.MS(2), vtime.MS(10), server.Polling, tasks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("New allocates %.0f objects, want the one record", allocs)
+	}
+	if size := unsafe.Sizeof(Partition{}); size > 6*64 {
+		t.Errorf("record is %d bytes, want at most %d (six cache lines)", size, 6*64)
+	}
+	p, _ := New("P", 1, vtime.MS(2), vtime.MS(10), server.Polling, tasks)
+	p.Local.ReleaseUpTo(0)
+	if j := p.Local.Current(); j == nil || j.Task != p.Local.Task(0) {
+		t.Fatalf("released job %+v does not run the record's own task descriptor", j)
+	}
+	clone := p.Clone()
+	if clone.Local.Task(0) == p.Local.Task(0) || clone.Local.Current() == p.Local.Current() {
+		t.Error("Clone shares the task descriptor or the pending job with the original")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 // obsRecorder captures observer callbacks for the edge-case tests.
 type obsRecorder struct {
+	tags []int // the tag of every callback, in order
 	repl []struct {
 		at                vtime.Time
 		amount, remaining vtime.Duration
@@ -18,14 +19,16 @@ type obsRecorder struct {
 	}
 }
 
-func (o *obsRecorder) Replenished(at vtime.Time, amount, remaining vtime.Duration) {
+func (o *obsRecorder) Replenished(tag int, at vtime.Time, amount, remaining vtime.Duration) {
+	o.tags = append(o.tags, tag)
 	o.repl = append(o.repl, struct {
 		at                vtime.Time
 		amount, remaining vtime.Duration
 	}{at, amount, remaining})
 }
 
-func (o *obsRecorder) Depleted(at vtime.Time, discarded vtime.Duration) {
+func (o *obsRecorder) Depleted(tag int, at vtime.Time, discarded vtime.Duration) {
+	o.tags = append(o.tags, tag)
 	o.depl = append(o.depl, struct {
 		at        vtime.Time
 		discarded vtime.Duration
@@ -40,7 +43,7 @@ func TestDepleteExactlyAtBoundary(t *testing.T) {
 	for _, pol := range []Policy{Polling, Deferrable} {
 		s := MustNew(vtime.MS(2), vtime.MS(10), pol)
 		rec := &obsRecorder{}
-		s.SetObserver(rec)
+		s.SetObserver(rec, 7)
 
 		// Slice [8ms, 10ms) consumes the whole budget; it ends at the boundary.
 		s.AdvanceTo(vtime.Time(vtime.MS(8)))
@@ -63,6 +66,9 @@ func TestDepleteExactlyAtBoundary(t *testing.T) {
 		}
 		if s.Deadline() != vtime.Time(vtime.MS(20)) {
 			t.Fatalf("%v: deadline %v after boundary, want 20ms", pol, s.Deadline())
+		}
+		if len(rec.tags) != 2 || rec.tags[0] != 7 || rec.tags[1] != 7 {
+			t.Fatalf("%v: callback tags %v, want the installed tag 7 on both", pol, rec.tags)
 		}
 	}
 }
@@ -121,7 +127,7 @@ func TestDeferrableBackToBackBurst(t *testing.T) {
 func TestSporadicReplenishmentSplitting(t *testing.T) {
 	s := MustNew(vtime.MS(3), vtime.MS(10), Sporadic)
 	rec := &obsRecorder{}
-	s.SetObserver(rec)
+	s.SetObserver(rec, 7)
 
 	// Chunk A: 1ms consumed starting at t=2ms → replenishes at 12ms.
 	// Chunk B: 2ms consumed starting at t=5ms → replenishes at 15ms.

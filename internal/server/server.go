@@ -49,52 +49,79 @@ func (p Policy) String() string {
 }
 
 // Observer receives budget lifecycle callbacks from a Server. The
-// hierarchical engine installs one per partition and forwards to the
-// attached telemetry sink; with no observer the accounting paths skip a nil
-// check and nothing else.
+// hierarchical engine installs itself on every partition's server and tells
+// the partitions apart by the tag it installed with; with no observer the
+// accounting paths skip a nil check and nothing else.
 type Observer interface {
 	// Replenished fires when budget is added: at the replenishment instant,
 	// with the amount added and the budget remaining afterwards.
-	Replenished(at vtime.Time, amount, remaining vtime.Duration)
+	Replenished(tag int, at vtime.Time, amount, remaining vtime.Duration)
 	// Depleted fires when the budget reaches zero: discarded is 0 when
 	// execution consumed it, or the discarded amount when an idle polling
 	// server dropped it (NoteIdle).
-	Depleted(at vtime.Time, discarded vtime.Duration)
+	Depleted(tag int, at vtime.Time, discarded vtime.Duration)
 }
 
-// Server is the budget account of one partition. Create one with New.
+// Server is the budget account of one partition. Create one with New, or
+// build one in place inside a larger record with Init. Everything AdvanceTo,
+// NextReplenish, Consume and Remaining read for the boundary-replenished
+// policies is in the first 64 bytes, which partition.Partition places on
+// one cache line.
 type Server struct {
-	budget vtime.Duration // B_i
-	period vtime.Duration // T_i
-	policy Policy
-
 	remaining     vtime.Duration // B_i(t)
 	lastReplenish vtime.Time     // r_{i,t}
-	replQ         eventq.Queue[vtime.Duration]
-	replBuf       []vtime.Duration // scratch for draining replQ without allocating
+	period        vtime.Duration // T_i
+	budget        vtime.Duration // B_i
+	policy        Policy
 	obs           Observer
+	tag           int // passed back to obs on every callback
+	// repl is non-nil exactly for the Sporadic policy (Init allocates it).
+	repl *replQueue
 }
 
-// SetObserver installs (or removes, with nil) the budget observer.
-func (s *Server) SetObserver(o Observer) { s.obs = o }
+// replQueue holds a sporadic server's pending replenishment chunks and the
+// scratch its drain reuses, apart from the Server so the other policies do
+// not carry it.
+type replQueue struct {
+	q   eventq.Queue[vtime.Duration]
+	buf []vtime.Duration // scratch for draining q without allocating
+}
+
+// SetObserver installs (or removes, with nil) the budget observer. Every
+// callback passes tag back, so one observer can serve many servers.
+func (s *Server) SetObserver(o Observer, tag int) { s.obs, s.tag = o, tag }
 
 // New returns a server with maximum budget b replenished every period t under
 // the given policy. The budget is initially full with r_{i,0} = 0.
 func New(b, t vtime.Duration, policy Policy) (*Server, error) {
+	s := new(Server)
+	if err := s.Init(b, t, policy); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init makes the zero Server s the server New(b, t, policy) would return,
+// in place. On error s is left unchanged.
+func (s *Server) Init(b, t vtime.Duration, policy Policy) error {
 	switch {
 	case b <= 0:
-		return nil, fmt.Errorf("server: budget must be positive, got %v", b)
+		return fmt.Errorf("server: budget must be positive, got %v", b)
 	case t <= 0:
-		return nil, fmt.Errorf("server: period must be positive, got %v", t)
+		return fmt.Errorf("server: period must be positive, got %v", t)
 	case b > t:
-		return nil, fmt.Errorf("server: budget %v exceeds period %v", b, t)
+		return fmt.Errorf("server: budget %v exceeds period %v", b, t)
 	}
 	switch policy {
 	case Polling, Deferrable, Sporadic:
 	default:
-		return nil, fmt.Errorf("server: unknown policy %v", policy)
+		return fmt.Errorf("server: unknown policy %v", policy)
 	}
-	return &Server{budget: b, period: t, policy: policy, remaining: b}, nil
+	s.budget, s.period, s.policy, s.remaining = b, t, policy, b
+	if policy == Sporadic {
+		s.repl = new(replQueue)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error; for tests and static configurations.
@@ -132,7 +159,7 @@ func (s *Server) LastReplenish() vtime.Time { return s.lastReplenish }
 func (s *Server) NextReplenish() vtime.Time {
 	periodic := s.lastReplenish.Add(s.period)
 	if s.policy == Sporadic {
-		if t := s.replQ.PeekTime(); t < periodic {
+		if t := s.repl.q.PeekTime(); t < periodic {
 			return t
 		}
 	}
@@ -143,8 +170,9 @@ func (s *Server) NextReplenish() vtime.Time {
 // calls it at every decision point before reading Remaining.
 func (s *Server) AdvanceTo(now vtime.Time) {
 	if s.policy == Sporadic {
-		s.replBuf = s.replQ.PopUntil(now, s.replBuf[:0])
-		for _, amount := range s.replBuf {
+		r := s.repl
+		r.buf = r.q.PopUntil(now, r.buf[:0])
+		for _, amount := range r.buf {
 			before := s.remaining
 			s.remaining += amount
 			if s.remaining > s.budget {
@@ -154,7 +182,7 @@ func (s *Server) AdvanceTo(now vtime.Time) {
 				// The queue does not retain the exact replenishment instant,
 				// so the event is stamped at the delivery instant `now` (at
 				// most one decision point later).
-				s.obs.Replenished(now, s.remaining-before, s.remaining)
+				s.obs.Replenished(s.tag, now, s.remaining-before, s.remaining)
 			}
 		}
 		for s.lastReplenish.Add(s.period) <= now {
@@ -166,7 +194,7 @@ func (s *Server) AdvanceTo(now vtime.Time) {
 		s.lastReplenish = s.lastReplenish.Add(s.period)
 		target := s.budget - replenishShort // replenishShort is 0 outside mutation builds
 		if s.obs != nil && s.remaining < target {
-			s.obs.Replenished(s.lastReplenish, target-s.remaining, target)
+			s.obs.Replenished(s.tag, s.lastReplenish, target-s.remaining, target)
 		}
 		s.remaining = target
 	}
@@ -181,10 +209,10 @@ func (s *Server) Consume(start vtime.Time, d vtime.Duration) {
 	}
 	s.remaining -= d
 	if s.policy == Sporadic && d > 0 {
-		s.replQ.Push(start.Add(s.period), d)
+		s.repl.q.Push(start.Add(s.period), d)
 	}
 	if s.obs != nil && d > 0 && s.remaining == 0 {
-		s.obs.Depleted(start.Add(d), 0)
+		s.obs.Depleted(s.tag, start.Add(d), 0)
 	}
 }
 
@@ -197,7 +225,7 @@ func (s *Server) NoteIdle(now vtime.Time) bool {
 		discarded := s.remaining
 		s.remaining = 0
 		if s.obs != nil {
-			s.obs.Depleted(now, discarded)
+			s.obs.Depleted(s.tag, now, discarded)
 		}
 		return true
 	}
@@ -229,5 +257,7 @@ func (s *Server) RemainingUtilization(now vtime.Time) float64 {
 func (s *Server) Reset() {
 	s.remaining = s.budget
 	s.lastReplenish = 0
-	s.replQ.Reset()
+	if s.repl != nil {
+		s.repl.q.Reset()
+	}
 }

@@ -26,10 +26,13 @@ type State struct {
 // entries to buf (pass nil, or a retained scratch to bound allocation). The
 // server is not mutated.
 func (s *Server) SaveState(buf []eventq.Entry[vtime.Duration]) State {
+	if s.repl != nil {
+		buf = s.repl.q.AppendAll(buf)
+	}
 	return State{
 		Remaining:     s.remaining,
 		LastReplenish: s.lastReplenish,
-		Repl:          s.replQ.AppendAll(buf),
+		Repl:          buf,
 	}
 }
 
@@ -72,21 +75,24 @@ func (s *Server) LoadState(st State) error {
 	}
 	s.remaining = st.Remaining
 	s.lastReplenish = st.LastReplenish
-	s.replQ.Load(st.Repl)
+	if s.repl != nil {
+		s.repl.q.Load(st.Repl)
+	}
 	return nil
 }
 
-// Clone returns an independent copy of the server sharing no mutable memory
-// with s. The observer is not carried over — the new owner installs its own —
-// and the drain scratch starts empty (it regrows on first use).
-func (s *Server) Clone() *Server {
-	c := &Server{
-		budget:        s.budget,
-		period:        s.period,
-		policy:        s.policy,
-		remaining:     s.remaining,
-		lastReplenish: s.lastReplenish,
+// CloneInto makes the zero Server dst an independent copy of s sharing no
+// mutable memory with it, in place. The observer is not carried over — the
+// new owner installs its own — and the drain scratch starts empty (it regrows
+// on first use).
+func (s *Server) CloneInto(dst *Server) {
+	dst.remaining = s.remaining
+	dst.lastReplenish = s.lastReplenish
+	dst.period = s.period
+	dst.budget = s.budget
+	dst.policy = s.policy
+	if s.repl != nil {
+		dst.repl = new(replQueue)
+		s.repl.q.CloneInto(&dst.repl.q)
 	}
-	s.replQ.CloneInto(&c.replQ)
-	return c
 }

@@ -52,7 +52,8 @@ func (s *Scheduler) SaveState() SchedulerState {
 		InFlightJob:  -1,
 		Tasks:        make([]TaskState, len(s.states)),
 	}
-	for ti, st := range s.states {
+	for ti := range s.states {
+		st := &s.states[ti]
 		ts := TaskState{Started: st.started, NextArrival: st.nextArrival, NextIndex: st.nextIndex}
 		for _, j := range st.queue() {
 			if j == s.lastJob {
@@ -87,7 +88,7 @@ func (s *Scheduler) CheckState(st SchedulerState) error {
 	}
 	inFlightFound := st.InFlightTask < 0
 	for ti, ts := range st.Tasks {
-		tk := s.states[ti].task
+		tk := &s.states[ti].task
 		if !ts.Started {
 			if len(ts.Pending) > 0 || ts.NextIndex != 0 || ts.NextArrival != 0 {
 				return fmt.Errorf("task %q: unstarted task with pending/index/arrival state", tk.Name)
@@ -133,21 +134,16 @@ func (s *Scheduler) LoadState(st SchedulerState) error {
 	if err := s.CheckState(st); err != nil {
 		return err
 	}
-	for _, stt := range s.states {
-		for _, j := range stt.queue() {
-			s.free = append(s.free, j)
-		}
-		for i := range stt.pending {
-			stt.pending[i] = nil
-		}
-		stt.pending = stt.pending[:0]
-		stt.head = 0
+	for i := range s.states {
+		stt := &s.states[i]
+		s.free = append(s.free, stt.queue()...)
+		stt.clear()
 	}
 	s.completed = st.Completed
 	s.ready = 0
 	s.lastJob = nil
 	for ti, ts := range st.Tasks {
-		stt := s.states[ti]
+		stt := &s.states[ti]
 		stt.started = ts.Started
 		stt.nextArrival = ts.NextArrival
 		stt.nextIndex = ts.NextIndex
@@ -159,7 +155,7 @@ func (s *Scheduler) LoadState(st SchedulerState) error {
 			} else {
 				j = new(Job)
 			}
-			*j = Job{Task: stt.task, Index: js.Index, Arrival: js.Arrival, Demand: js.Demand, Remaining: js.Remaining}
+			*j = Job{Task: &stt.task, Index: js.Index, Arrival: js.Arrival, Demand: js.Demand, Remaining: js.Remaining}
 			stt.push(j)
 			s.ready++
 			if int64(ti) == st.InFlightTask && js.Index == st.InFlightJob {
@@ -170,36 +166,37 @@ func (s *Scheduler) LoadState(st SchedulerState) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the scheduler: fresh task states
-// and job records sharing no mutable memory with s. The static *Task
-// descriptors are shared (they are configuration, and mutating them mid-run
-// is unsupported either way), as are the OnComplete and Shuffle callbacks.
-// The Observer is not carried over; the clone's owner installs its own.
-func (s *Scheduler) Clone() *Scheduler {
-	c := &Scheduler{
-		OnComplete: s.OnComplete,
-		Shuffle:    s.Shuffle,
-		completed:  s.completed,
-		ready:      s.ready,
-		states:     make([]*state, len(s.states)),
-	}
-	for i, st := range s.states {
-		ns := &state{
-			task:        st.task,
-			prio:        st.prio,
-			started:     st.started,
-			nextArrival: st.nextArrival,
-			nextIndex:   st.nextIndex,
-		}
+// CloneInto makes the zero Scheduler dst an independent deep copy of s, in
+// place: its own copies of the task descriptors (ExecFn, PeriodFn and the
+// OnComplete and Shuffle callbacks are shared, being configuration), its own
+// task states and job records, sharing no mutable memory with s. The
+// Observer is not carried over; the copy's owner installs its own.
+func (s *Scheduler) CloneInto(dst *Scheduler) {
+	dst.initStorage(len(s.states))
+	dst.OnComplete = s.OnComplete
+	dst.Shuffle = s.Shuffle
+	dst.completed = s.completed
+	dst.ready = s.ready
+	for i := range s.states {
+		st, ns := &s.states[i], &dst.states[i]
+		ns.task = st.task
+		ns.started = st.started
+		ns.nextArrival = st.nextArrival
+		ns.nextIndex = st.nextIndex
 		for _, j := range st.queue() {
-			nj := new(Job)
+			var nj *Job
+			if n := len(dst.free); n > 0 {
+				nj = dst.free[n-1]
+				dst.free = dst.free[:n-1]
+			} else {
+				nj = new(Job)
+			}
 			*nj = *j
-			ns.pending = append(ns.pending, nj)
+			nj.Task = &ns.task
+			ns.push(nj)
 			if j == s.lastJob {
-				c.lastJob = nj
+				dst.lastJob = nj
 			}
 		}
-		c.states[i] = ns
 	}
-	return c
 }

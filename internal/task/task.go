@@ -78,11 +78,11 @@ type Completion struct {
 	Response vtime.Duration // Finish - Arrival
 }
 
-// state is the runtime bookkeeping for one task within a Scheduler.
+// state is one task within a Scheduler, stored by value in the scheduler's
+// states slice: the scheduler's own copy of the task descriptor followed by
+// its runtime bookkeeping, so a release reads both without a pointer chase.
 type state struct {
-	task        *Task
-	prio        int // index within scheduler; lower = higher priority
-	started     bool
+	task        Task
 	nextArrival vtime.Time
 	nextIndex   int64
 	// pending[head:] is the FIFO backlog of this task's jobs (front =
@@ -90,7 +90,8 @@ type state struct {
 	// the slice's capacity; push compacts when the tail hits capacity, so the
 	// steady state allocates nothing.
 	pending []*Job
-	head    int
+	head    int32
+	started bool
 }
 
 // queue returns the live backlog, front first.
@@ -113,11 +114,20 @@ func (st *state) popFront() *Job {
 	j := st.pending[st.head]
 	st.pending[st.head] = nil
 	st.head++
-	if st.head == len(st.pending) {
+	if int(st.head) == len(st.pending) {
 		st.pending = st.pending[:0]
 		st.head = 0
 	}
 	return j
+}
+
+// clear empties the backlog, keeping its capacity.
+func (st *state) clear() {
+	for i := range st.pending {
+		st.pending[i] = nil
+	}
+	st.pending = st.pending[:0]
+	st.head = 0
 }
 
 // arrivalAnchor lazily initializes the first arrival from the task's Offset.
@@ -133,38 +143,65 @@ func (st *state) arrivalAnchor() vtime.Time {
 
 // Observer receives job lifecycle callbacks from a Scheduler. It is the
 // low-level feed of the telemetry event stream: the hierarchical engine
-// installs one per partition and forwards to the attached sink. Observer is
-// separate from the public OnComplete callback so user code and telemetry
+// installs itself on every partition's scheduler, tells the partitions apart
+// by the tag it installed with, and forwards to the attached sink. Observer
+// is separate from the public OnComplete callback so user code and telemetry
 // never clobber each other.
 type Observer interface {
 	// JobReleased fires when a job arrives (is added to the backlog).
-	JobReleased(j *Job)
+	JobReleased(tag int, j *Job)
 	// JobDispatched fires when a job is granted the CPU; first is true on
 	// the job's first-ever execution (false on a resume after preemption).
-	JobDispatched(j *Job, at vtime.Time, first bool)
+	JobDispatched(tag int, j *Job, at vtime.Time, first bool)
 	// JobPreempted fires when a mid-execution job loses the CPU to another
 	// job of the same partition. (Partition-level preemptions — the whole
 	// partition losing the CPU — are reported by the engine, which is the
 	// only layer that sees them.)
-	JobPreempted(j *Job, at vtime.Time)
+	JobPreempted(tag int, j *Job, at vtime.Time)
 	// JobCompleted fires for every finished job, after OnComplete.
-	JobCompleted(c Completion)
+	JobCompleted(tag int, c Completion)
 }
 
 // Scheduler is a fixed-priority preemptive scheduler over one partition's
 // tasks. It is driven by its partition's share of the CPU: the hierarchical
 // engine tells it how much time passed while the partition was executing.
+//
+// A scheduler owns copies of its task descriptors and stores the per-task
+// state by value. For the common single-task partition the descriptor, the
+// state, the backlog and freelist arrays and the first job record all live
+// inside the Scheduler itself, so a release touches one contiguous block
+// (see partition.New, which embeds the scheduler in the partition's record).
+// A Scheduler must not be copied by value after Init: its slices may point
+// into its own inline storage.
 type Scheduler struct {
-	states []*state
+	// states[0] is state0 for a single-task scheduler. The fields a release
+	// reads (states, state0, the freelist, the observer, job0) come first
+	// and in that order; the ones only execution reads follow.
+	states []state
+	state0 [1]state
+	// free recycles completed Job records so the steady-state release path
+	// allocates nothing. A recycled pointer is handed out again by a later
+	// release: observers must not retain a *Job past their callback (the
+	// Completion callbacks receive a value copy and are unaffected).
+	free []*Job
+	// obs, when non-nil, receives job lifecycle callbacks (see Observer)
+	// with tag. The engine installs it through SetObserver; user code should
+	// prefer OnComplete or a telemetry sink.
+	obs Observer
+	tag int32
+	// ready counts pending jobs across all tasks: an O(1) HasReady probe.
+	ready int32
+	// Inline backing arrays of the first task's backlog and of the freelist,
+	// and the job record that seeds the freelist.
+	pending0 [1]*Job
+	free0    [1]*Job
+	job0     Job
+	// lastJob is the most recently dispatched, still-unfinished job; it is
+	// tracked only while an Observer is set (dispatch/preempt edge detection).
+	lastJob   *Job
+	completed int64
 	// OnComplete, when non-nil, is invoked for every finished job.
 	OnComplete func(Completion)
-	// Observer, when non-nil, receives job lifecycle callbacks (see
-	// Observer). The engine installs it; user code should prefer OnComplete
-	// or a telemetry sink.
-	Observer Observer
-	// lastJob is the most recently dispatched, still-unfinished job; it is
-	// tracked only while Observer is set (dispatch/preempt edge detection).
-	lastJob *Job
 	// Shuffle, when non-nil, makes the local scheduler pick uniformly among
 	// the tasks with pending jobs instead of the highest-priority one — a
 	// TaskShuffler-style local randomization (Yoon et al., RTAS 2016, the
@@ -172,48 +209,66 @@ type Scheduler struct {
 	// cannot change WHEN the partition as a whole executes, so it does not
 	// affect the partition-level covert channel (a negative result the
 	// experiments demonstrate). The choice is re-drawn at every dispatch.
-	Shuffle   func(n int) int
-	completed int64
-	// ready counts pending jobs across all tasks, so the per-decision
-	// HasReady probe is O(1) instead of scanning every task queue.
-	ready int
-	// free recycles completed Job records so the steady-state release path
-	// allocates nothing. A recycled pointer is handed out again by a later
-	// release: observers must not retain a *Job past their callback (the
-	// Completion callbacks receive a value copy and are unaffected).
-	free []*Job
-	// shuffleBuf is the reusable candidate buffer for the Shuffle path.
-	shuffleBuf []*state
+	Shuffle func(n int) int
 }
 
-// NewScheduler builds a local scheduler. Task priority is the slice order
-// (index 0 = highest). The tasks are validated.
-func NewScheduler(tasks []*Task) (*Scheduler, error) {
-	s := &Scheduler{}
-	for i, t := range tasks {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		s.states = append(s.states, &state{task: t, prio: i})
+// NewScheduler builds a local scheduler over copies of tasks. Task priority
+// is the slice order (index 0 = highest). The tasks are validated.
+func NewScheduler(tasks []Task) (*Scheduler, error) {
+	s := new(Scheduler)
+	if err := s.Init(tasks); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Tasks returns the static task list in priority order.
-func (s *Scheduler) Tasks() []*Task {
-	out := make([]*Task, len(s.states))
-	for i, st := range s.states {
-		out[i] = st.task
+// Init makes the zero Scheduler s the scheduler NewScheduler(tasks) would
+// return, in place. On error s is left unchanged.
+func (s *Scheduler) Init(tasks []Task) error {
+	for i := range tasks {
+		if err := tasks[i].Validate(); err != nil {
+			return err
+		}
 	}
-	return out
+	s.initStorage(len(tasks))
+	for i := range tasks {
+		s.states[i].task = tasks[i]
+	}
+	return nil
 }
+
+// initStorage sizes the states for n tasks, inline when n is one, and seeds
+// the freelist with the inline job record.
+func (s *Scheduler) initStorage(n int) {
+	if n == 1 {
+		s.states = s.state0[:]
+	} else {
+		s.states = make([]state, n)
+	}
+	if n > 0 {
+		s.states[0].pending = s.pending0[:0]
+	}
+	s.free = append(s.free0[:0], &s.job0)
+}
+
+// SetObserver installs (or removes, with nil) the job lifecycle observer.
+// Every callback passes tag back, so one observer can serve many schedulers.
+func (s *Scheduler) SetObserver(o Observer, tag int) { s.obs, s.tag = o, int32(tag) }
+
+// NumTasks returns the number of tasks.
+func (s *Scheduler) NumTasks() int { return len(s.states) }
+
+// Task returns the scheduler's live descriptor of task i (priority order).
+// Hooks such as ExecFn set through it take effect from the next release.
+func (s *Scheduler) Task(i int) *Task { return &s.states[i].task }
 
 // Completed returns the number of jobs finished so far.
 func (s *Scheduler) Completed() int64 { return s.completed }
 
 // ReleaseUpTo releases every job whose arrival instant is <= now.
 func (s *Scheduler) ReleaseUpTo(now vtime.Time) {
-	for _, st := range s.states {
+	for si := range s.states {
+		st := &s.states[si]
 		st.arrivalAnchor()
 		for st.nextArrival <= now {
 			arrival := st.nextArrival
@@ -235,7 +290,7 @@ func (s *Scheduler) ReleaseUpTo(now vtime.Time) {
 				j = new(Job)
 			}
 			*j = Job{
-				Task:      st.task,
+				Task:      &st.task,
 				Index:     st.nextIndex,
 				Arrival:   arrival,
 				Demand:    demand,
@@ -243,8 +298,8 @@ func (s *Scheduler) ReleaseUpTo(now vtime.Time) {
 			}
 			st.push(j)
 			s.ready++
-			if s.Observer != nil {
-				s.Observer.JobReleased(j)
+			if s.obs != nil {
+				s.obs.JobReleased(int(s.tag), j)
 			}
 			gap := st.task.Period
 			if st.task.PeriodFn != nil {
@@ -262,8 +317,8 @@ func (s *Scheduler) ReleaseUpTo(now vtime.Time) {
 // NextArrival returns the earliest future job arrival, or vtime.Infinity.
 func (s *Scheduler) NextArrival() vtime.Time {
 	next := vtime.Infinity
-	for _, st := range s.states {
-		if a := st.arrivalAnchor(); a < next {
+	for i := range s.states {
+		if a := s.states[i].arrivalAnchor(); a < next {
 			next = a
 		}
 	}
@@ -276,21 +331,29 @@ func (s *Scheduler) NextArrival() vtime.Time {
 // work.
 func (s *Scheduler) Current() *Job {
 	if s.Shuffle != nil {
-		// Collect backlogged tasks and pick one at random.
-		backlogged := s.shuffleBuf[:0]
-		for _, st := range s.states {
-			if len(st.queue()) > 0 {
-				backlogged = append(backlogged, st)
+		// Count the backlogged tasks, draw one, and find it in priority order.
+		n := 0
+		for i := range s.states {
+			if len(s.states[i].queue()) > 0 {
+				n++
 			}
 		}
-		s.shuffleBuf = backlogged
-		if len(backlogged) == 0 {
+		if n == 0 {
 			return nil
 		}
-		return backlogged[s.Shuffle(len(backlogged))].queue()[0]
+		k := s.Shuffle(n)
+		for i := range s.states {
+			if q := s.states[i].queue(); len(q) > 0 {
+				if k == 0 {
+					return q[0]
+				}
+				k--
+			}
+		}
+		panic(fmt.Sprintf("task: Shuffle(%d) returned an index out of range", n))
 	}
-	for _, st := range s.states {
-		if q := st.queue(); len(q) > 0 {
+	for i := range s.states {
+		if q := s.states[i].queue(); len(q) > 0 {
 			return q[0]
 		}
 	}
@@ -306,8 +369,8 @@ func (s *Scheduler) HasReady() bool { return s.ready > 0 }
 // combined accessor halves the per-touch walk.
 func (s *Scheduler) ReadyAndNext() (ready bool, next vtime.Time) {
 	next = vtime.Infinity
-	for _, st := range s.states {
-		if a := st.arrivalAnchor(); a < next {
+	for i := range s.states {
+		if a := s.states[i].arrivalAnchor(); a < next {
 			next = a
 		}
 	}
@@ -318,8 +381,8 @@ func (s *Scheduler) ReadyAndNext() (ready bool, next vtime.Time) {
 // jobs.
 func (s *Scheduler) Backlog() vtime.Duration {
 	var sum vtime.Duration
-	for _, st := range s.states {
-		for _, j := range st.queue() {
+	for i := range s.states {
+		for _, j := range s.states[i].queue() {
 			sum += j.Remaining
 		}
 	}
@@ -338,11 +401,11 @@ func (s *Scheduler) Run(start vtime.Time, d vtime.Duration) vtime.Duration {
 		if job == nil {
 			break
 		}
-		if s.Observer != nil && job != s.lastJob {
+		if s.obs != nil && job != s.lastJob {
 			if prev := s.lastJob; prev != nil && prev.Remaining > 0 {
-				s.Observer.JobPreempted(prev, start.Add(used))
+				s.obs.JobPreempted(int(s.tag), prev, start.Add(used))
 			}
-			s.Observer.JobDispatched(job, start.Add(used), job.Remaining == job.Demand)
+			s.obs.JobDispatched(int(s.tag), job, start.Add(used), job.Remaining == job.Demand)
 			s.lastJob = job
 		}
 		slice := (d - used).Min(job.Remaining)
@@ -380,7 +443,7 @@ func (s *Scheduler) ShortestRemaining() vtime.Duration {
 }
 
 func (s *Scheduler) finish(job *Job, at vtime.Time) {
-	st := s.states[s.indexOf(job.Task)]
+	st := &s.states[s.indexOf(job.Task)]
 	// The finished job is necessarily the front of its task's backlog.
 	st.popFront()
 	s.ready--
@@ -388,7 +451,7 @@ func (s *Scheduler) finish(job *Job, at vtime.Time) {
 	if s.lastJob == job {
 		s.lastJob = nil
 	}
-	if s.OnComplete != nil || s.Observer != nil {
+	if s.OnComplete != nil || s.obs != nil {
 		c := Completion{
 			Job:      *job,
 			Finish:   at,
@@ -397,16 +460,16 @@ func (s *Scheduler) finish(job *Job, at vtime.Time) {
 		if s.OnComplete != nil {
 			s.OnComplete(c)
 		}
-		if s.Observer != nil {
-			s.Observer.JobCompleted(c)
+		if s.obs != nil {
+			s.obs.JobCompleted(int(s.tag), c)
 		}
 	}
 	s.free = append(s.free, job)
 }
 
 func (s *Scheduler) indexOf(t *Task) int {
-	for i, st := range s.states {
-		if st.task == t {
+	for i := range s.states {
+		if &s.states[i].task == t {
 			return i
 		}
 	}
@@ -418,18 +481,13 @@ func (s *Scheduler) indexOf(t *Task) int {
 // and every buffer keeps its capacity, so a reset scheduler replays a run
 // without reallocating.
 func (s *Scheduler) Reset() {
-	for _, st := range s.states {
+	for i := range s.states {
+		st := &s.states[i]
 		st.started = false
 		st.nextArrival = 0
 		st.nextIndex = 0
-		for _, j := range st.queue() {
-			s.free = append(s.free, j)
-		}
-		for i := range st.pending {
-			st.pending[i] = nil
-		}
-		st.pending = st.pending[:0]
-		st.head = 0
+		s.free = append(s.free, st.queue()...)
+		st.clear()
 	}
 	s.completed = 0
 	s.ready = 0

@@ -6,7 +6,7 @@ import (
 	"timedice/internal/vtime"
 )
 
-func mustScheduler(t *testing.T, tasks []*Task) *Scheduler {
+func mustScheduler(t *testing.T, tasks []Task) *Scheduler {
 	t.Helper()
 	s, err := NewScheduler(tasks)
 	if err != nil {
@@ -46,8 +46,8 @@ func TestEffectiveDeadline(t *testing.T) {
 }
 
 func TestReleaseAndRun(t *testing.T) {
-	tk := &Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(3)}
-	s := mustScheduler(t, []*Task{tk})
+	tk := Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(3)}
+	s := mustScheduler(t, []Task{tk})
 
 	s.ReleaseUpTo(0)
 	if !s.HasReady() {
@@ -81,28 +81,28 @@ func TestReleaseAndRun(t *testing.T) {
 }
 
 func TestFixedPriorityPreemptionOrder(t *testing.T) {
-	hi := &Task{Name: "hi", Period: vtime.MS(10), WCET: vtime.MS(1)}
-	lo := &Task{Name: "lo", Period: vtime.MS(20), WCET: vtime.MS(5)}
-	s := mustScheduler(t, []*Task{hi, lo})
+	hi := Task{Name: "hi", Period: vtime.MS(10), WCET: vtime.MS(1)}
+	lo := Task{Name: "lo", Period: vtime.MS(20), WCET: vtime.MS(5)}
+	s := mustScheduler(t, []Task{hi, lo})
 	s.ReleaseUpTo(0)
-	if s.Current().Task != hi {
+	if s.Current().Task != s.Task(0) {
 		t.Fatal("highest-priority task should run first")
 	}
 	s.Run(0, vtime.MS(1)) // finish hi
-	if s.Current().Task != lo {
+	if s.Current().Task != s.Task(1) {
 		t.Fatal("lower-priority task should run next")
 	}
 	// hi arrives again at 10ms: it must preempt lo's position at the head.
 	s.Run(vtime.Time(vtime.MS(1)), vtime.MS(2))
 	s.ReleaseUpTo(vtime.Time(vtime.MS(10)))
-	if s.Current().Task != hi {
+	if s.Current().Task != s.Task(0) {
 		t.Fatal("arrival of hi must take the head of the ready order")
 	}
 }
 
 func TestBacklogFIFOWithinTask(t *testing.T) {
-	tk := &Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(8)}
-	s := mustScheduler(t, []*Task{tk})
+	tk := Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(8)}
+	s := mustScheduler(t, []Task{tk})
 	s.ReleaseUpTo(vtime.Time(vtime.MS(25))) // releases jobs at 0, 10, 20
 	var responses []vtime.Duration
 	s.OnComplete = func(c Completion) { responses = append(responses, c.Response) }
@@ -125,7 +125,7 @@ func TestBacklogFIFOWithinTask(t *testing.T) {
 }
 
 func TestExecFnClamping(t *testing.T) {
-	tk := &Task{
+	tk := Task{
 		Name: "mod", Period: vtime.MS(10), WCET: vtime.MS(4),
 		ExecFn: func(k int64, _ vtime.Time) vtime.Duration {
 			if k == 0 {
@@ -134,7 +134,7 @@ func TestExecFnClamping(t *testing.T) {
 			return vtime.MS(100) // above WCET: clamp to WCET
 		},
 	}
-	s := mustScheduler(t, []*Task{tk})
+	s := mustScheduler(t, []Task{tk})
 	s.ReleaseUpTo(0)
 	if got := s.Current().Demand; got != vtime.Microsecond {
 		t.Errorf("job 0 demand = %v, want 1us", got)
@@ -147,13 +147,13 @@ func TestExecFnClamping(t *testing.T) {
 }
 
 func TestPeriodFnControlsArrivals(t *testing.T) {
-	tk := &Task{
+	tk := Task{
 		Name: "sporadic", Period: vtime.MS(10), WCET: vtime.MS(1),
 		PeriodFn: func(k int64, _ vtime.Time) vtime.Duration {
 			return vtime.MS(10 + 5*(k+1)) // growing gaps: 15, 20, ...
 		},
 	}
-	s := mustScheduler(t, []*Task{tk})
+	s := mustScheduler(t, []Task{tk})
 	s.ReleaseUpTo(0)
 	if s.NextArrival() != vtime.Time(vtime.MS(15)) {
 		t.Errorf("second arrival at %v, want 15ms", s.NextArrival())
@@ -165,8 +165,8 @@ func TestPeriodFnControlsArrivals(t *testing.T) {
 }
 
 func TestOffset(t *testing.T) {
-	tk := &Task{Name: "off", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(3)}
-	s := mustScheduler(t, []*Task{tk})
+	tk := Task{Name: "off", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(3)}
+	s := mustScheduler(t, []Task{tk})
 	s.ReleaseUpTo(0)
 	if s.HasReady() {
 		t.Error("offset task released too early")
@@ -177,8 +177,8 @@ func TestOffset(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tk := &Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1)}
-	s := mustScheduler(t, []*Task{tk})
+	tk := Task{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1)}
+	s := mustScheduler(t, []Task{tk})
 	s.ReleaseUpTo(vtime.Time(vtime.MS(50)))
 	s.Run(vtime.Time(vtime.MS(50)), vtime.MS(10))
 	s.Reset()
@@ -188,13 +188,13 @@ func TestReset(t *testing.T) {
 }
 
 func TestSchedulerRejectsInvalidTask(t *testing.T) {
-	if _, err := NewScheduler([]*Task{{Name: "bad", Period: -1, WCET: 1}}); err == nil {
+	if _, err := NewScheduler([]Task{{Name: "bad", Period: -1, WCET: 1}}); err == nil {
 		t.Error("NewScheduler should reject invalid tasks")
 	}
 }
 
 func TestRunWithNoWork(t *testing.T) {
-	s := mustScheduler(t, []*Task{{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
+	s := mustScheduler(t, []Task{{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
 	if used := s.Run(0, vtime.MS(3)); used != 0 {
 		t.Errorf("Run with empty queue used %v", used)
 	}
@@ -204,9 +204,9 @@ func TestRunWithNoWork(t *testing.T) {
 }
 
 func TestShuffleDispatchesAllBackloggedTasks(t *testing.T) {
-	hi := &Task{Name: "hi", Period: vtime.MS(100), WCET: vtime.MS(10)}
-	lo := &Task{Name: "lo", Period: vtime.MS(100), WCET: vtime.MS(10)}
-	s := mustScheduler(t, []*Task{hi, lo})
+	hi := Task{Name: "hi", Period: vtime.MS(100), WCET: vtime.MS(10)}
+	lo := Task{Name: "lo", Period: vtime.MS(100), WCET: vtime.MS(10)}
+	s := mustScheduler(t, []Task{hi, lo})
 	// Round-robin shuffle: alternate picks.
 	turn := 0
 	s.Shuffle = func(n int) int {
@@ -227,13 +227,13 @@ func TestShuffleDispatchesAllBackloggedTasks(t *testing.T) {
 	}
 	// With Shuffle nil, strict priority returns hi.
 	s.Shuffle = nil
-	if s.Current().Task != hi {
+	if s.Current().Task != s.Task(0) {
 		t.Error("priority dispatch broken after clearing Shuffle")
 	}
 }
 
 func TestShuffleEmptyQueue(t *testing.T) {
-	s := mustScheduler(t, []*Task{{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
+	s := mustScheduler(t, []Task{{Name: "a", Period: vtime.MS(10), WCET: vtime.MS(1), Offset: vtime.MS(5)}})
 	s.Shuffle = func(n int) int { return 0 }
 	if s.Current() != nil {
 		t.Error("empty backlog should return nil under shuffle")

@@ -399,15 +399,6 @@ var (
 	CrossCoreChannel = multicore.Channel
 )
 
-// RunChannelSeeds aggregates a channel experiment over several seeds.
-var RunChannelSeeds = covert.RunSeeds
-
-// RunChannelSeedsParallel is RunChannelSeeds over a bounded worker pool.
-var RunChannelSeedsParallel = covert.RunSeedsParallel
-
-// ChannelAggregate is RunChannelSeeds' result.
-type ChannelAggregate = covert.Aggregate
-
 // Statistics helpers used by the harness outputs.
 type (
 	// Histogram is a fixed-width histogram.
