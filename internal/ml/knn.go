@@ -5,6 +5,10 @@ import "sort"
 // KNN is a k-nearest-neighbors classifier (Euclidean distance); the simplest
 // possible execution-vector decoder, useful as a floor for the learned
 // receivers.
+//
+// Over 0/1 vectors the squared distance is a popcount of packed words (see
+// vecSet), exactly the float value, so the sort sees the same keys and
+// equal distances, which are common, tie as they do on the float path.
 type KNN struct {
 	// K is the neighborhood size (default 5).
 	K int
@@ -16,9 +20,9 @@ var _ Trainer = KNN{}
 func (k KNN) Name() string { return "knn" }
 
 type knnModel struct {
-	xs [][]float64
-	ys []int
-	k  int
+	set vecSet
+	ys  []int
+	k   int
 }
 
 var _ Classifier = (*knnModel)(nil)
@@ -31,9 +35,11 @@ func (m *knnModel) Predict(x []float64) int {
 		d float64
 		y int
 	}
-	cands := make([]cand, len(m.xs))
-	for i, v := range m.xs {
-		cands[i] = cand{d: sqDist(v, x), y: m.ys[i]}
+	var buf [4]uint64 // a packed query of up to 256 coordinates stays on the stack
+	q := m.set.query(buf[:], x)
+	cands := make([]cand, len(m.ys))
+	for i, y := range m.ys {
+		cands[i] = cand{d: m.set.sqDistTo(i, x, q), y: y}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
 	k := m.k
@@ -59,5 +65,5 @@ func (k KNN) Train(xs [][]float64, ys []int) (Classifier, error) {
 	if kk <= 0 {
 		kk = 5
 	}
-	return &knnModel{xs: xs, ys: ys, k: kk}, nil
+	return &knnModel{set: newVecSet(xs), ys: ys, k: kk}, nil
 }

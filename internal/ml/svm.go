@@ -2,12 +2,21 @@ package ml
 
 import (
 	"math"
+	"slices"
 )
 
 // SVM trains a soft-margin binary SVM with an RBF kernel using a simplified
 // Sequential Minimal Optimization (Platt's SMO with the standard
 // first/second-heuristic working-set selection), matching the paper's
 // "SVM with Radial Basis Function kernel" receiver.
+//
+// The receiver's execution vectors hold only 0s and 1s. Over such vectors
+// the kernel is a lookup by Hamming distance in a table of dim+1 values (see
+// vecSet and rbf), for the Gram matrix, its bounded row cache and every
+// prediction; any other input takes the float formula, and both give the
+// same bits. SMO's decision values sum over the non-zero multipliers only,
+// in index order, and the sweep evaluates four samples' sums side by side,
+// so they too keep the bits of one scan over all n per sample.
 type SVM struct {
 	// C is the soft-margin penalty (default 1).
 	C float64
@@ -28,10 +37,9 @@ var _ Trainer = SVM{}
 func (s SVM) Name() string { return "svm-rbf" }
 
 type svmModel struct {
-	vectors [][]float64
-	alphaY  []float64 // α_i·y_i for support vectors
-	b       float64
-	gamma   float64
+	kern   rbf       // over the support vectors
+	alphaY []float64 // α_i·y_i for support vectors
+	b      float64
 }
 
 var _ Classifier = (*svmModel)(nil)
@@ -39,9 +47,11 @@ var _ Classifier = (*svmModel)(nil)
 func (m *svmModel) Name() string { return "svm-rbf" }
 
 func (m *svmModel) decision(x []float64) float64 {
+	var buf [4]uint64 // a packed query of up to 256 coordinates stays on the stack
+	q := m.kern.set.query(buf[:], x)
 	sum := -m.b
-	for i, v := range m.vectors {
-		sum += m.alphaY[i] * math.Exp(-m.gamma*sqDist(v, x))
+	for i, a := range m.alphaY {
+		sum += a * m.kern.to(i, x, q)
 	}
 	return sum
 }
@@ -54,35 +64,52 @@ func (m *svmModel) Predict(x []float64) int {
 	return 0
 }
 
+// withDefaults fills every unset field; dim is the vector dimension.
+func (s SVM) withDefaults(dim int) SVM {
+	if s.C <= 0 {
+		s.C = 1
+	}
+	if s.Gamma <= 0 {
+		s.Gamma = 1 / float64(dim)
+	}
+	if s.Tol <= 0 {
+		s.Tol = 1e-3
+	}
+	if s.MaxPasses <= 0 {
+		s.MaxPasses = 3
+	}
+	if s.MaxIter <= 0 {
+		s.MaxIter = 300
+	}
+	return s
+}
+
 // Train implements Trainer.
 func (s SVM) Train(xs [][]float64, ys []int) (Classifier, error) {
 	dim, err := validate(xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	c := s.C
-	if c <= 0 {
-		c = 1
-	}
-	gamma := s.Gamma
-	if gamma <= 0 {
-		gamma = 1 / float64(dim)
-	}
-	tol := s.Tol
-	if tol <= 0 {
-		tol = 1e-3
-	}
-	maxPasses := s.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 3
-	}
-	maxIter := s.MaxIter
-	if maxIter <= 0 {
-		maxIter = 300
-	}
+	s = s.withDefaults(dim)
+	y := signs(ys)
+	alpha, b := s.smo(newKernelCache(xs, s.Gamma), y)
 
-	n := len(xs)
-	y := make([]float64, n)
+	// Keep only support vectors.
+	var vectors [][]float64
+	m := &svmModel{b: b}
+	for i, a := range alpha {
+		if a > 1e-9 {
+			vectors = append(vectors, xs[i])
+			m.alphaY = append(m.alphaY, a*y[i])
+		}
+	}
+	m.kern = newRBF(vectors, s.Gamma)
+	return m, nil
+}
+
+// signs maps labels 1 and 0 to +1 and −1.
+func signs(ys []int) []float64 {
+	y := make([]float64, len(ys))
 	for i, l := range ys {
 		if l == 1 {
 			y[i] = 1
@@ -90,21 +117,71 @@ func (s SVM) Train(xs [][]float64, ys []int) (Classifier, error) {
 			y[i] = -1
 		}
 	}
+	return y
+}
 
-	kern := newKernelCache(xs, gamma)
-	alpha := make([]float64, n)
-	var b float64
+// smo runs SMO over the kernel with labels y (±1) and returns the
+// multipliers α and the bias b. s must have its defaults filled.
+func (s SVM) smo(kern *kernelCache, y []float64) (alpha []float64, b float64) {
+	c, tol := s.C, s.Tol
+	n := len(y)
+	alpha = make([]float64, n)
+
+	// nz lists, ascending, the samples whose α is not zero, so f sums the
+	// same terms in the same order as a scan over all n would, and every
+	// decision value keeps its bits. setAlpha is the one writer of α, and
+	// every step that writes b calls it.
+	var nz []int
+	var ahead [4]float64 // f(aheadAt…aheadAt+3), see fSweep
+	aheadAt := -1        // -1: ahead is stale
+	setAlpha := func(i int, a float64) {
+		aheadAt = -1
+		was := alpha[i] != 0
+		alpha[i] = a
+		if now := a != 0; now != was {
+			p, _ := slices.BinarySearch(nz, i)
+			if now {
+				nz = slices.Insert(nz, p, i)
+			} else {
+				nz = slices.Delete(nz, p, p+1)
+			}
+		}
+	}
 
 	// f(i) = decision value for sample i under current (alpha, b).
 	f := func(i int) float64 {
 		sum := -b
 		row := kern.row(i)
-		for j := 0; j < n; j++ {
-			if alpha[j] != 0 {
-				sum += alpha[j] * y[j] * row[j]
-			}
+		for _, j := range nz {
+			sum += alpha[j] * y[j] * row[j]
 		}
 		return sum
+	}
+
+	// fSweep(i) = f(i) for the sweep, which asks for f(0), f(1), … in turn
+	// while α and b change at only a few of those steps. It evaluates f for
+	// four samples in one pass over nz: each of the four sums adds the same
+	// terms in the same order as f, so each keeps f's bits, and the four
+	// independent additions overlap where f waits on one. setAlpha discards
+	// the three it has not returned yet.
+	fSweep := func(i int) float64 {
+		if i+len(ahead) > n {
+			return f(i)
+		}
+		if aheadAt < 0 || i < aheadAt || i >= aheadAt+len(ahead) {
+			r0, r1, r2, r3 := kern.row(i), kern.row(i+1), kern.row(i+2), kern.row(i+3)
+			s0, s1, s2, s3 := -b, -b, -b, -b
+			for _, j := range nz {
+				a := alpha[j] * y[j]
+				s0 += a * r0[j]
+				s1 += a * r1[j]
+				s2 += a * r2[j]
+				s3 += a * r3[j]
+			}
+			ahead = [4]float64{s0, s1, s2, s3}
+			aheadAt = i
+		}
+		return ahead[i-aheadAt]
 	}
 
 	// rnd: a tiny deterministic LCG for the second-choice heuristic fallback,
@@ -116,10 +193,10 @@ func (s SVM) Train(xs [][]float64, ys []int) (Classifier, error) {
 	}
 
 	passes := 0
-	for iter := 0; passes < maxPasses && iter < maxIter; iter++ {
+	for iter := 0; passes < s.MaxPasses && iter < s.MaxIter; iter++ {
 		changed := 0
 		for i := 0; i < n; i++ {
-			ei := f(i) - y[i]
+			ei := fSweep(i) - y[i]
 			if (y[i]*ei < -tol && alpha[i] < c) || (y[i]*ei > tol && alpha[i] > 0) {
 				j := nextRand(n - 1)
 				if j >= i {
@@ -167,7 +244,8 @@ func (s SVM) Train(xs [][]float64, ys []int) (Classifier, error) {
 				default:
 					b = (b1 + b2) / 2
 				}
-				alpha[i], alpha[j] = aiNew, ajNew
+				setAlpha(i, aiNew)
+				setAlpha(j, ajNew)
 				changed++
 			}
 		}
@@ -177,24 +255,14 @@ func (s SVM) Train(xs [][]float64, ys []int) (Classifier, error) {
 			passes = 0
 		}
 	}
-
-	// Keep only support vectors.
-	m := &svmModel{gamma: gamma, b: b}
-	for i := 0; i < n; i++ {
-		if alpha[i] > 1e-9 {
-			m.vectors = append(m.vectors, xs[i])
-			m.alphaY = append(m.alphaY, alpha[i]*y[i])
-		}
-	}
-	return m, nil
+	return alpha, b
 }
 
 // kernelCache computes and caches RBF kernel rows. For small n it
 // materializes the full Gram matrix; for large n it keeps a bounded set of
 // rows and recomputes on miss.
 type kernelCache struct {
-	xs    [][]float64
-	gamma float64
+	k     rbf
 	full  [][]float64 // nil when too large
 	rows  map[int][]float64
 	order []int // FIFO eviction
@@ -204,23 +272,16 @@ type kernelCache struct {
 const fullKernelLimit = 2200 // ≈38 MB of float64 at the limit
 
 func newKernelCache(xs [][]float64, gamma float64) *kernelCache {
-	k := &kernelCache{xs: xs, gamma: gamma}
+	k := &kernelCache{k: newRBF(xs, gamma)}
 	n := len(xs)
 	if n <= fullKernelLimit {
 		k.full = make([][]float64, n)
 		for i := range k.full {
 			k.full[i] = make([]float64, n)
 			for j := 0; j <= i; j++ {
-				v := math.Exp(-gamma * sqDist(xs[i], xs[j]))
+				v := k.k.at(i, j)
 				k.full[i][j] = v
-				k.full[j][i] = v // fills lower triangle of later rows lazily
-			}
-		}
-		// Complete the upper triangles (rows j<i were only partially filled
-		// when row i was built); easiest is symmetric copy.
-		for i := range k.full {
-			for j := i + 1; j < n; j++ {
-				k.full[i][j] = k.full[j][i]
+				k.full[j][i] = v
 			}
 		}
 		return k
@@ -231,9 +292,9 @@ func newKernelCache(xs [][]float64, gamma float64) *kernelCache {
 }
 
 func (k *kernelCache) computeRow(i int) []float64 {
-	row := make([]float64, len(k.xs))
-	for j := range k.xs {
-		row[j] = math.Exp(-k.gamma * sqDist(k.xs[i], k.xs[j]))
+	row := make([]float64, len(k.k.set.xs))
+	for j := range row {
+		row[j] = k.k.at(i, j)
 	}
 	return row
 }
@@ -266,5 +327,5 @@ func (k *kernelCache) at(i, j int) float64 {
 	if r, ok := k.rows[j]; ok {
 		return r[i]
 	}
-	return math.Exp(-k.gamma * sqDist(k.xs[i], k.xs[j]))
+	return k.k.at(i, j)
 }
