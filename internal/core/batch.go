@@ -2,9 +2,9 @@ package core
 
 // This file is the verdict source of a TimeDice decision, stateView: the
 // partition state one decision reads, and how it computes an Algorithm-3
-// verdict. The candidate walk (search), the cache-aware test front end
-// (testVerdict, cache.go), the lottery and Pick are written once, over a
-// stateView; a view is bound in one of two ways:
+// verdict. The candidate walk (search, which also consults the verdict cache
+// of cache.go), the lottery and Pick are written once, over a stateView; a
+// view is bound in one of two ways:
 //
 //   - bind, the production source: it aliases the engine's struct-of-arrays
 //     hot arenas (engine.Hot) and ready bitset, and verdicts run on the
@@ -18,31 +18,35 @@ package core
 // test-only reference policy of internal/gen, which snapshots the live
 // servers every decision; its differential checks the engine's arena
 // publication, its ready-bitset maintenance, the verdict cache and the
-// kernel against the reference. The binding is data, not an interface: an interface or a generic type
-// parameter sends every candidate's lottery read and every computed verdict
-// through an indirect call, which measurably slows the decision-dominated
-// dense-P1024 benchmark (EXPERIMENTS.md); here the only fork is one
-// predictable branch per computed verdict.
+// kernel against the reference. The binding is data, not an interface: an
+// interface or a generic type parameter sends every candidate's lottery read
+// and every computed verdict through an indirect call, which measurably slows
+// the decision-dominated dense-P1024 benchmark (EXPERIMENTS.md); here the
+// only fork is one predictable branch per computed verdict.
 //
 // Why the production binding exists: under indexed stepping the engine
 // already maintains exact per-partition hot state in contiguous slices
 // (remaining, deadline, supply, budget, period) plus a hierarchical ready
 // bitset. Snapshotting that into PartitionState structs costs an O(P)
 // pointer chase per decision — the dominant term at P=4096+ where a decision
-// touches a handful of partitions. bind aliases the arenas directly (O(1)),
-// and the kernel hoists the loop-invariant terms of Eq. 1–2 out of the
-// fixpoint iteration:
+// touches a handful of partitions. bind aliases the arenas directly, once
+// per System (they live as long as it does), and Pick sets only now on each
+// decision.
 //
-//   - off[j]       = supply_j − now      (the stream anchor, constant per decision)
-//   - remPrefix[h] = Σ_{j<h} remaining_j (term (b), the hp remaining-budget sum)
-//   - minOff[h]    = min_{j≤h} off[j]    (the earliest tracked arrival)
+// The candidate walk (search) visits the partitions once, in index order, and
+// carries the loop-invariant terms of Eq. 1–2 along as a prefix fold:
 //
-// All three are filled lazily in index order (extend), so a decision that
-// tests up to partition h pays O(h) hoisting total — amortized O(1) per test.
+//   - rem   = Σ_{j≤h} remaining_j (terms (b) and (d): an inactive Π_h has none)
+//   - above = min_{j<h} off[j], upto = min_{j≤h} off[j] (the earliest tracked
+//     arrival without and with Π_h's own stream)
 //
-// minOff makes the common test O(1): when the busy interval's opening length
-// w0 reaches no tracked stream's first arrival, every interference term is
-// zero and the run is settled before it starts (see fixpoint).
+// where off[j] = supply_j − now is the stream anchor, constant per decision.
+// fold writes off[j] as the walk passes j, for the kernel's slow path; the
+// rest are scalars, so a walk that stops at partition h pays O(h), never
+// O(P). The prefix minimum makes the common test O(1): when the busy
+// interval's opening length w0 reaches no tracked stream's first arrival,
+// every interference term is zero and the run is settled before it starts
+// (see fixpoint).
 //
 // Otherwise the fixpoint runs the decision kernel (kernel.go): no hardware
 // division (interference counts come from the precomputed vtime.Reciprocal
@@ -60,7 +64,9 @@ package core
 // lottery weights and random draws are bit-identical, while the reference
 // deliberately keeps plain division as the oracle. TestViewMatchesAoS pins
 // that per function (including per-iteration equality of the incremental
-// sum); the reference-policy digest suite pins it end-to-end.
+// sum), TestSearchMatchesTextbook pins the walk both bindings share to a
+// textbook Algorithm 1, and the reference-policy digest suite pins it all
+// end-to-end.
 
 import (
 	"timedice/internal/bitset"
@@ -70,11 +76,11 @@ import (
 
 // stateView is the per-decision verdict source (see the file comment). Under
 // bind the six arena slices and the ready bitset alias the engine's, never
-// copied, and off, remPrefix, minOff and narr are policy-owned kernel
-// scratch reused across decisions. Under bindSnapshot, ready, remaining and
-// deadline are the view's own, rebuilt from the snapshot every decision. A
-// view keeps one binding for its whole life, so bindSnapshot never writes
-// into engine arenas.
+// copied, and off and narr are policy-owned kernel scratch reused across
+// decisions. Under bindSnapshot, ready, remaining, deadline and supply are the
+// view's own, rebuilt from the snapshot every decision. A view keeps one
+// binding for its whole life, so bindSnapshot never writes into engine
+// arenas.
 type stateView struct {
 	remaining []vtime.Duration
 	budget    []vtime.Duration
@@ -91,20 +97,18 @@ type stateView struct {
 	snap []PartitionState
 	ref  bool
 
-	// Hoisted per-decision terms, valid for indices < hoistN.
-	off       []vtime.Duration // supplyAt(j) − now
-	remPrefix []vtime.Duration // Σ_{j<h} remaining[j]
-	minOff    []vtime.Duration // min_{j≤h} off[j]
-	hoistN    int
+	// off[j] = supplyAt(j) − now, written by fold as the walk passes j.
+	off []vtime.Duration
 
 	// Fixpoint scratch: narr[j] is stream j's next charged arrival during the
 	// current fixpoint run.
 	narr []vtime.Duration
 }
 
-// bind aliases the engine's arenas for one decision at instant now: the
-// production binding. O(1) apart from one-time scratch growth.
-func (v *stateView) bind(hot engine.Hot, now vtime.Time) {
+// bind aliases the engine's arenas: the production binding. The arenas live
+// as long as their System, so Pick binds once per System and sets now on
+// each decision. O(1) apart from one-time scratch growth.
+func (v *stateView) bind(hot engine.Hot) {
 	v.remaining = hot.Remaining
 	v.budget = hot.Budget
 	v.period = hot.Period
@@ -112,31 +116,28 @@ func (v *stateView) bind(hot engine.Hot, now vtime.Time) {
 	v.supply = hot.Supply
 	v.recip = hot.Recip
 	v.ready = hot.Ready
-	v.now = now
 	n := len(hot.Remaining)
 	if cap(v.off) < n {
 		v.off = make([]vtime.Duration, n)
-		v.remPrefix = make([]vtime.Duration, n)
-		v.minOff = make([]vtime.Duration, n)
 		v.narr = make([]vtime.Duration, n)
 	}
 	v.off = v.off[:n]
-	v.remPrefix = v.remPrefix[:n]
-	v.minOff = v.minOff[:n]
 	v.narr = v.narr[:n]
-	v.hoistN = 0
 }
 
 // bindSnapshot binds the view to states taken at instant now: the reference
 // binding. The ready set comes from the snapshot's own Runnable flags and the
-// lottery reads copies of its remaining budgets and deadlines, so nothing is
-// read from the engine's arenas or bitset; verdicts run on schedFixpoint.
+// walk and the lottery read copies of its remaining budgets, deadlines and
+// supply anchors, so nothing is read from the engine's arenas or bitset;
+// verdicts run on schedFixpoint.
 func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
 	n := len(states)
 	if v.ready == nil || v.ready.Len() != n {
 		v.ready = bitset.New(n)
 		v.remaining = make([]vtime.Duration, n)
 		v.deadline = make([]vtime.Time, n)
+		v.supply = make([]vtime.Time, n)
+		v.off = make([]vtime.Duration, n)
 	} else {
 		v.ready.Reset()
 	}
@@ -144,6 +145,7 @@ func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
 		s := &states[i]
 		v.remaining[i] = s.Remaining
 		v.deadline[i] = s.NextReplenish
+		v.supply[i] = s.NextSupply
 		if s.Runnable {
 			v.ready.Set(i)
 		}
@@ -151,22 +153,33 @@ func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
 	v.snap, v.ref, v.now = states, true, now
 }
 
-// verdict runs Algorithm 3 for partition h under an inversion of w on the
-// binding's implementation. For a passing verdict, validFor is how far past
-// now it stays exact.
-func (v *stateView) verdict(h int, w vtime.Duration) (ok bool, validFor vtime.Duration, cost fixCost) {
-	if v.ref {
-		var cur, deadline vtime.Duration
-		ok, cur, deadline, cost = schedFixpoint(v.snap, h, v.now, w)
-		if ok {
-			validFor = passHorizon(v.snap, h, v.now, cur, deadline)
-		}
-		return ok, validFor, cost
-	}
-	v.extend(h)
-	ok, cur, deadline, minArr, cost := v.fixpoint(h, w)
+// prefix is the walk's running fold through partition h: what a level-h
+// kernel test reads of the partitions at and above it.
+type prefix struct {
+	rem   vtime.Duration // Σ_{j≤h} remaining_j
+	above vtime.Duration // min_{j<h} off[j]; Forever at h = 0
+	upto  vtime.Duration // min_{j≤h} off[j]
+}
+
+// noPrefix is the fold of no partition: no demand and no tracked stream.
+var noPrefix = prefix{above: vtime.Forever, upto: vtime.Forever}
+
+// fold extends p, the fold through partition h−1, to partition h, writing
+// h's stream anchor off[h] on the way.
+func (v *stateView) fold(p prefix, h int) prefix {
+	o := v.supplyAt(h).Sub(v.now)
+	v.off[h] = o
+	return prefix{rem: p.rem + v.remaining[h], above: p.upto, upto: min(p.upto, o)}
+}
+
+// refVerdict runs Algorithm 3 for partition h under an inversion of w on the
+// reference binding: plain-division schedFixpoint and passHorizon over the
+// snapshot. For a passing verdict, validFor is how far past now it stays
+// exact. The kernel's counterpart is fixpoint plus horizonOf.
+func (v *stateView) refVerdict(h int, w vtime.Duration) (ok bool, validFor vtime.Duration, cost fixCost) {
+	ok, cur, deadline, cost := schedFixpoint(v.snap, h, v.now, w)
 	if ok {
-		validFor = horizonOf(cur, deadline, minArr)
+		validFor = passHorizon(v.snap, h, v.now, cur, deadline)
 	}
 	return ok, validFor, cost
 }
@@ -180,44 +193,27 @@ func (v *stateView) supplyAt(j int) vtime.Time {
 	return v.deadline[j]
 }
 
-// extend fills off, remPrefix and minOff up through index h. Tests run in
-// increasing h, so across one decision the total work is O(max h), not O(h)
-// per test.
-func (v *stateView) extend(h int) {
-	for j := v.hoistN; j <= h; j++ {
-		o := v.supplyAt(j).Sub(v.now)
-		v.off[j] = o
-		if j == 0 {
-			v.remPrefix[0] = 0
-			v.minOff[0] = o
-		} else {
-			v.remPrefix[j] = v.remPrefix[j-1] + v.remaining[j-1]
-			v.minOff[j] = min(v.minOff[j-1], o)
-		}
-	}
-	if h+1 > v.hoistN {
-		v.hoistN = h + 1
-	}
-}
-
 // fixpoint is schedFixpoint over the arena view — the Algorithm-3
 // busy-interval iteration for partition h under an inversion of w — run as the
-// incremental, divisionless decision kernel. Callers must extend(h) first.
+// incremental, divisionless decision kernel. p is the walk's fold through h
+// (fold), which has written off[0..h].
 //
 // The tracked stream set is hp(Π_h), plus Π_h's own replenishment stream when
 // it is inactive (its indirect interference term) — exactly the streams
-// passHorizon charges.
+// passHorizon charges. An inactive Π_h has no remaining budget, so the
+// opening length is w0 = w + p.rem either way.
 //
 // Fast path: every term ⌈(cur−o)/T⌉₀ is zero while cur ≤ o, so when w0 is at
-// or below the earliest tracked arrival minOff[m−1] (or nothing is tracked)
-// the interference sum at cur = w0 is zero, the first iteration's
-// next = w0 + 0 equals cur, and the run converges there. Each stream's first
-// arrival at or after w0 is its own anchor o, so the minimum the kernel would
-// record is minOff[m−1] itself. The fast path returns exactly that — verdict,
-// cur, deadline, minArr — in O(1), and charges the same one iteration and m
-// terms kernelInit would have (the m terms are settled in bulk by the
-// prefix minimum rather than evaluated one by one), so every counter and
-// digest is identical to the kernel's.
+// or below the earliest tracked arrival (p.above, or p.upto for an inactive
+// Π_h; Forever when nothing is tracked) the interference sum at cur = w0 is
+// zero, the first iteration's next = w0 + 0 equals cur, and the run
+// converges there. Each stream's first arrival at or after w0 is its own
+// anchor o, so the minimum the kernel would record is that earliest anchor
+// itself. The fast path returns exactly that — verdict, cur, deadline,
+// minArr — in O(1), and charges the same one iteration and m terms
+// kernelInit would have (the m terms are settled in bulk by the prefix
+// minimum rather than evaluated one by one), so every counter and digest is
+// identical to the kernel's.
 //
 // Otherwise kernelInit opens the run at cur = w0 with one divisionless sweep,
 // leaving narr[j] = the first arrival of stream j at or after cur. Each
@@ -231,36 +227,28 @@ func (v *stateView) extend(h int) {
 // replays the reference exactly. At convergence narr holds precisely the
 // arrivals passHorizon recomputes; their minimum is returned in minArr for
 // horizonOf.
-func (v *stateView) fixpoint(h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
-	active := v.remaining[h] > 0
-	w0 := w + v.remPrefix[h]
-	if active {
-		w0 += v.remaining[h]
+func (v *stateView) fixpoint(h int, w vtime.Duration, p prefix) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+	w0 := w + p.rem
+	m, earliest := h, p.above // tracked streams and their earliest anchor
+	if v.remaining[h] > 0 {
 		deadline = v.deadline[h].Sub(v.now)
 	} else {
 		deadline = v.deadline[h].Add(v.period[h]).Sub(v.now)
+		m = h + 1
+		if !fastPathDropsOwnStream {
+			earliest = p.upto
+		}
 	}
 	if w0 > deadline {
 		return false, 0, deadline, 0, cost
 	}
-	m := h
-	if !active {
-		m = h + 1
-	}
 	cost.terms = int64(m)
-	top := m // streams the prefix minimum covers
-	if fastPathDropsOwnStream && !active {
-		top = h
-	}
-	if top == 0 || w0 <= v.minOff[top-1] {
+	if w0 <= earliest {
 		cost.iters = 1
 		if fixpointIterHook != nil {
 			fixpointIterHook(h, w0, 0)
 		}
-		if top == 0 {
-			return true, w0, deadline, vtime.Forever, cost
-		}
-		return true, w0, deadline, v.minOff[top-1], cost
+		return true, w0, deadline, earliest, cost
 	}
 	off := v.off[:m]
 	per := v.period[:m]

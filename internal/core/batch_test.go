@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"timedice/internal/bitset"
@@ -23,8 +24,6 @@ func viewFromStates(states []PartitionState, now vtime.Time) *stateView {
 		ready:     bitset.New(n),
 		now:       now,
 		off:       make([]vtime.Duration, n),
-		remPrefix: make([]vtime.Duration, n),
-		minOff:    make([]vtime.Duration, n),
 		narr:      make([]vtime.Duration, n),
 	}
 	for i := range states {
@@ -85,21 +84,33 @@ func randomStates(r *rng.Rand, n int, now vtime.Time) []PartitionState {
 	return states
 }
 
+// foldThrough runs the walk's prefix fold (stateView.fold) over partitions
+// 0..h, writing their stream anchors, and returns the fold a level-h test
+// reads.
+func foldThrough(v *stateView, h int) prefix {
+	p := noPrefix
+	for j := 0; j <= h; j++ {
+		p = v.fold(p, j)
+	}
+	return p
+}
+
 // unsetArrival marks arrival-buffer slots no fixpoint has written. Every
 // arrival the kernel records is at or after the busy-interval start w0 > 0,
 // so it can never collide with a real arrival.
 const unsetArrival vtime.Duration = -1
 
-// fixpointBranch runs the view fixpoint for level h on an arrival buffer
-// filled with unsetArrival and reports whether the fast path settled it:
+// fixpointBranch runs the view fixpoint for level h, under p, the fold through
+// h, on an arrival buffer filled with unsetArrival and reports whether the
+// fast path settled it:
 // kernelInit records an arrival for every tracked stream, while the fast path
 // (and the early w0 > deadline exit, which runs no iteration) leaves the
 // buffer untouched.
-func fixpointBranch(v *stateView, h int, w vtime.Duration) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost, fast bool) {
+func fixpointBranch(v *stateView, h int, w vtime.Duration, p prefix) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost, fast bool) {
 	for j := range v.narr {
 		v.narr[j] = unsetArrival
 	}
-	ok, cur, deadline, minArr, cost = v.fixpoint(h, w)
+	ok, cur, deadline, minArr, cost = v.fixpoint(h, w, p)
 	return ok, cur, deadline, minArr, cost, cost.iters > 0 && v.narr[0] == unsetArrival
 }
 
@@ -142,11 +153,12 @@ func TestViewMatchesAoS(t *testing.T) {
 		hookStates = states
 		v := viewFromStates(states, now)
 
-		// Per-partition fixpoint verdicts.
-		v.extend(n - 1)
+		// Per-partition fixpoint verdicts, each under the walk's fold.
+		p := noPrefix
 		for h := 0; h < n; h++ {
+			p = v.fold(p, h)
 			aok, acur, adl, acost := schedFixpoint(states, h, now, w)
-			vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, h, w)
+			vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, h, w, p)
 			switch {
 			case fast:
 				fastRuns++
@@ -187,8 +199,8 @@ func TestViewMatchesAoS(t *testing.T) {
 			stamps[i] = uint64(r.Intn(5))
 		}
 		ac, vc := &Cache{}, &Cache{}
-		ac.begin(stamps, n)
-		vc.begin(stamps, n)
+		ac.begin(stamps)
+		vc.begin(stamps)
 		ares = search(ref, w, nil, ac)
 		vres = search(v, w, nil, vc)
 		compareSearch(t, trial, "cached", ares, vres)
@@ -250,12 +262,12 @@ func fastPathCases() []fastPathCase {
 	}
 	return []fastPathCase{
 		// h = 1 active: w0 = w + 1 ms + 1 ms = 3 ms.
-		{"w0 equals minOff", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 1, true},
-		{"w0 one past minOff", []PartitionState{part(ms, 10*ms, 3*ms-1), part(ms, 10*ms, -1)}, 1, false},
+		{"w0 equals the earliest anchor", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 1, true},
+		{"w0 one past the earliest anchor", []PartitionState{part(ms, 10*ms, 3*ms-1), part(ms, 10*ms, -1)}, 1, false},
 		{"supply due at now", []PartitionState{part(ms, 10*ms, 0), part(ms, 10*ms, -1)}, 1, false},
 		// h = 1 inactive: w0 = w + 1 ms = 2 ms, and its own stream (anchored
 		// at its deadline) is the earliest tracked arrival.
-		{"inactive own stream holds minOff", []PartitionState{part(ms, 10*ms, 8*ms), part(0, 2*ms, -1)}, 1, true},
+		{"inactive own stream holds the earliest anchor", []PartitionState{part(ms, 10*ms, 8*ms), part(0, 2*ms, -1)}, 1, true},
 		{"inactive own stream inside the interval", []PartitionState{part(ms, 10*ms, 8*ms), part(0, 2*ms-1, -1)}, 1, false},
 		// h = 0 active tracks no stream at all.
 		{"h=0 active", []PartitionState{part(ms, 10*ms, 3*ms), part(ms, 10*ms, -1)}, 0, true},
@@ -269,9 +281,8 @@ func fastPathCases() []fastPathCase {
 func fastPathMismatches(tc fastPathCase) []string {
 	now, w := fastPathNow, DefaultQuantum
 	v := viewFromStates(tc.states, now)
-	v.extend(len(tc.states) - 1)
 	aok, acur, adl, acost := schedFixpoint(tc.states, tc.h, now, w)
-	vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, tc.h, w)
+	vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, tc.h, w, foldThrough(v, tc.h))
 	var out []string
 	if fast != tc.fast {
 		out = append(out, fmt.Sprintf("fast path taken = %v, want %v", fast, tc.fast))
@@ -329,9 +340,10 @@ func compareSearch(t *testing.T, trial int, ctx string, a, b SearchResult) {
 	}
 }
 
-// TestViewExtendLazy pins the amortization property: a search that tests only
-// a prefix of the system must hoist only that prefix (plus the candidates'
-// own entries), never all P.
+// TestViewExtendLazy pins the amortization property: a search whose walk
+// stops at partition h folds only partitions 0..h into the prefix terms,
+// never all P. fold writes each partition's stream anchor off[j] as the walk
+// passes it, so the anchors left unwritten count what the walk skipped.
 func TestViewExtendLazy(t *testing.T) {
 	const n = 4096
 	now := vtime.Time(5 * vtime.Millisecond)
@@ -359,12 +371,22 @@ func TestViewExtendLazy(t *testing.T) {
 	states[8].Active = true
 	states[8].NextReplenish = now.Add(2 * vtime.Millisecond)
 	v := viewFromStates(states, now)
+	const unfolded = vtime.Duration(math.MinInt64)
+	for j := range v.off {
+		v.off[j] = unfolded
+	}
 	res := search(v, DefaultQuantum, nil, nil)
 	if len(res.Candidates) != 2 || res.IdleOK {
 		t.Fatalf("unexpected search result: %+v", res)
 	}
-	if v.hoistN > 16 {
-		t.Fatalf("hoistN = %d after a prefix-only search; lazy extension is broken", v.hoistN)
+	folded := 0
+	for _, o := range v.off {
+		if o != unfolded {
+			folded++
+		}
+	}
+	if folded > 16 {
+		t.Fatalf("the walk folded %d of %d partitions after a search that stops at h=8; the fold is not lazy", folded, n)
 	}
 	aos := CandidateSearch(states, now, DefaultQuantum, nil)
 	compareSearch(t, 0, "lazy", aos, res)

@@ -42,20 +42,23 @@ import (
 //     and the verdict is unchanged.
 //
 // Invalidation is per-partition: a stamp on Π_j stales the cached verdicts of
-// every Π_h with h ≥ j and leaves h < j untouched, tracked with a prefix-max
-// over the engine's stamp vector.
+// every Π_h with h ≥ j and leaves h < j untouched. The candidate walk
+// (search) visits the partitions in index order, so it folds the maximum of
+// the engine's stamps over 0..h as it goes and checks each entry against
+// that running prefix stamp; begin hands the walk the stamp vector and does
+// no O(P) work of its own.
 //
-// The cache sits behind testVerdict, the one cache-aware test front end, which
-// both bindings of a decision's stateView share (batch.go). Policy owns one
-// Cache for its whole life and always consults it; the public CandidateSearch
-// passes none. The cache is keyed by partition index and the engine's stamps,
-// never by the binding that computed a verdict, so TestViewMatchesAoS can
-// require two caches fed the same stamps to make the same hits and misses
-// under either binding.
+// The cache sits inside search, the one candidate walk, which both bindings
+// of a decision's stateView share (batch.go). Policy owns one Cache for its
+// whole life and always consults it; the public CandidateSearch passes none.
+// The cache is keyed by partition index and the engine's stamps, never by
+// the binding that computed a verdict, so TestViewMatchesAoS can require two
+// caches fed the same stamps to make the same hits and misses under either
+// binding.
 
 // verdictEntry is one memoized Algorithm-3 outcome.
 type verdictEntry struct {
-	stamp      uint64     // prefix-max state stamp the verdict was computed under
+	stamp      uint64     // prefix stamp the verdict was computed under
 	validUntil vtime.Time // last instant (inclusive) the verdict is reusable
 	ok         bool
 }
@@ -65,61 +68,51 @@ type verdictEntry struct {
 // A Cache belongs to one Policy and is not safe for concurrent use.
 type Cache struct {
 	entries []verdictEntry
-	prefix  []uint64 // prefix[h] = max(stamps[0..h]) for the current decision
+	stamps  []uint64 // the engine's per-partition stamps for the current decision
 	hits    int64
 	misses  int64
 	// searchValid accumulates, across one candidate search, the minimum
 	// validUntil of every verdict the search consulted. Until that instant —
 	// and as long as no partition is stamped — the whole search outcome
 	// (candidate list and idle eligibility) is reproducible, which Pick
-	// exploits to skip the snapshot and search entirely.
+	// exploits to skip the search entirely.
 	searchValid vtime.Time
 }
 
-// begin prepares the cache for one decision over n partitions whose current
-// state stamps are stamps[0..n-1].
-func (c *Cache) begin(stamps []uint64, n int) {
-	if len(c.entries) != n {
+// begin prepares the cache for one decision whose partitions' current state
+// stamps are stamps, one per partition. The slice is read by the walk, not
+// copied.
+func (c *Cache) begin(stamps []uint64) {
+	if n := len(stamps); len(c.entries) != n {
 		if cap(c.entries) < n {
 			c.entries = make([]verdictEntry, n)
-			c.prefix = make([]uint64, n)
 		}
 		c.entries = c.entries[:n]
-		c.prefix = c.prefix[:n]
 		c.Reset()
 	}
-	var m uint64
-	for i := 0; i < n; i++ {
-		if stamps[i] > m {
-			m = stamps[i]
-		}
-		c.prefix[i] = m
-	}
+	c.stamps = stamps
 	c.searchValid = vtime.Infinity
 }
 
-// lookup returns the cached verdict for partition h if it is still valid at
+// lookup returns the cached verdict for partition h if it was computed under
+// stamp, the maximum of the stamps of partitions 0..h, and is still valid at
 // instant now. cacheIgnoresInvalidation is the timedice_mutation hook: normal
 // builds compile it to false and the branch folds away.
-func (c *Cache) lookup(h int, now vtime.Time) (ok, hit bool) {
+func (c *Cache) lookup(h int, stamp uint64, now vtime.Time) (ok, hit bool) {
 	e := &c.entries[h]
-	if (cacheIgnoresInvalidation || e.stamp >= c.prefix[h]) && now <= e.validUntil {
+	if (cacheIgnoresInvalidation || e.stamp >= stamp) && now <= e.validUntil {
 		c.hits++
-		if e.validUntil < c.searchValid {
-			c.searchValid = e.validUntil
-		}
+		c.searchValid = min(c.searchValid, e.validUntil)
 		return e.ok, true
 	}
 	c.misses++
 	return false, false
 }
 
-// store memoizes a freshly computed verdict for partition h.
-func (c *Cache) store(h int, ok bool, validUntil vtime.Time) {
-	c.entries[h] = verdictEntry{stamp: c.prefix[h], validUntil: validUntil, ok: ok}
-	if validUntil < c.searchValid {
-		c.searchValid = validUntil
-	}
+// store memoizes a freshly computed verdict for partition h under stamp.
+func (c *Cache) store(h int, stamp uint64, ok bool, validUntil vtime.Time) {
+	c.entries[h] = verdictEntry{stamp: stamp, validUntil: validUntil, ok: ok}
+	c.searchValid = min(c.searchValid, validUntil)
 }
 
 // Hits returns the number of decision-level test invocations served from the
@@ -155,30 +148,4 @@ func (c *Cache) Reset() {
 	}
 	c.hits = 0
 	c.misses = 0
-}
-
-// testVerdict is the one cache-aware test front end, shared by both bindings
-// of a stateView: with a nil cache (CandidateSearch) it runs the binding's
-// Algorithm-3 test; with a cache (Policy) it serves valid memoized verdicts
-// and memoizes fresh ones with their validity horizon. res.Tests counts only actual Algorithm-3
-// computations, never cache hits; the fixpoint's work tallies accumulate
-// alongside.
-func testVerdict(v *stateView, h int, w vtime.Duration, res *SearchResult, cache *Cache) bool {
-	if cache != nil {
-		if ok, hit := cache.lookup(h, v.now); hit {
-			return ok
-		}
-	}
-	res.Tests++
-	ok, validFor, cost := v.verdict(h, w)
-	res.FixpointIters += cost.iters
-	res.InterferenceTerms += cost.terms
-	if cache != nil {
-		validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
-		if ok {
-			validUntil = v.now.Add(validFor)
-		}
-		cache.store(h, ok, validUntil)
-	}
-	return ok
 }

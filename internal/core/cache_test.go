@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"timedice/internal/engine"
@@ -21,9 +22,17 @@ func twoPartStates(now vtime.Time) []PartitionState {
 	}
 }
 
-// refVerdict runs the cache front end over the reference binding at now.
-func refVerdict(states []PartitionState, h int, now vtime.Time, res *SearchResult, c *Cache) bool {
-	return testVerdict(refView(states, now), h, 0, res, c)
+// walk runs the cached candidate search over states at now, with the
+// partitions from first down runnable and those above it not, so the walk
+// consults the cached verdicts of partitions first..n−1 in order (stopping
+// at a failure), each against the running prefix of stamps.
+func walk(states []PartitionState, first int, now vtime.Time, c *Cache, stamps []uint64) SearchResult {
+	st := slices.Clone(states)
+	for i := range st {
+		st[i].Runnable = i >= first
+	}
+	c.begin(stamps)
+	return search(refView(st, now), 0, nil, c)
 }
 
 // TestCachePrefixStaleness pins the per-partition invalidation rule: a stamp
@@ -35,42 +44,25 @@ func TestCachePrefixStaleness(t *testing.T) {
 	var c Cache
 
 	stamps := []uint64{1, 1}
-	c.begin(stamps, 2)
-	var res SearchResult
-	for h := 0; h < 2; h++ {
-		refVerdict(states, h, now, &res, &c)
-	}
-	if res.Tests != 2 {
-		t.Fatalf("cold cache ran %d tests, want 2", res.Tests)
+	if res := walk(states, 0, now, &c, stamps); res.Tests != 2 || !res.IdleOK {
+		t.Fatalf("cold cache ran %d tests (idle %v), want 2 passing tests", res.Tests, res.IdleOK)
 	}
 
 	// No new stamps: both verdicts must be served from cache.
-	c.begin(stamps, 2)
-	for h := 0; h < 2; h++ {
-		refVerdict(states, h, now, &res, &c)
-	}
-	if res.Tests != 2 {
-		t.Fatalf("warm cache ran %d tests total, want still 2", res.Tests)
+	if res := walk(states, 0, now, &c, stamps); res.Tests != 0 {
+		t.Fatalf("warm cache ran %d tests, want 0", res.Tests)
 	}
 
 	// Stamp partition 1 only: verdict 0 stays cached, verdict 1 recomputes.
 	stamps[1] = 2
-	c.begin(stamps, 2)
-	for h := 0; h < 2; h++ {
-		refVerdict(states, h, now, &res, &c)
-	}
-	if res.Tests != 3 {
-		t.Fatalf("after stamping partition 1: %d tests total, want 3 (only h=1 recomputes)", res.Tests)
+	if res := walk(states, 0, now, &c, stamps); res.Tests != 1 {
+		t.Fatalf("after stamping partition 1: %d tests, want 1 (only h=1 recomputes)", res.Tests)
 	}
 
 	// Stamp partition 0: both verdicts read partition 0, both recompute.
 	stamps[0] = 3
-	c.begin(stamps, 2)
-	for h := 0; h < 2; h++ {
-		refVerdict(states, h, now, &res, &c)
-	}
-	if res.Tests != 5 {
-		t.Fatalf("after stamping partition 0: %d tests total, want 5 (both recompute)", res.Tests)
+	if res := walk(states, 0, now, &c, stamps); res.Tests != 2 {
+		t.Fatalf("after stamping partition 0: %d tests, want 2 (both recompute)", res.Tests)
 	}
 }
 
@@ -83,11 +75,8 @@ func TestCacheHorizonExpiry(t *testing.T) {
 	var c Cache
 	stamps := []uint64{1, 1}
 
-	c.begin(stamps, 2)
-	var res SearchResult
-	ok := refVerdict(states, 1, now, &res, &c)
-	if !ok || res.Tests != 1 {
-		t.Fatalf("cold verdict: ok=%v tests=%d, want pass in 1 test", ok, res.Tests)
+	if res := walk(states, 1, now, &c, stamps); !res.IdleOK || res.Tests != 1 {
+		t.Fatalf("cold verdict: pass=%v tests=%d, want pass in 1 test", res.IdleOK, res.Tests)
 	}
 	horizon := c.entries[1].validUntil
 	if horizon <= now || horizon == vtime.Infinity {
@@ -95,22 +84,16 @@ func TestCacheHorizonExpiry(t *testing.T) {
 	}
 
 	// One instant before the horizon: still a hit.
-	c.begin(stamps, 2)
-	refVerdict(states, 1, horizon-1, &res, &c)
-	if res.Tests != 1 {
-		t.Fatalf("within horizon: %d tests total, want still 1", res.Tests)
+	if res := walk(states, 1, horizon-1, &c, stamps); res.Tests != 0 {
+		t.Fatalf("within horizon: %d tests, want 0", res.Tests)
 	}
 	// The horizon instant itself is inclusive.
-	c.begin(stamps, 2)
-	refVerdict(states, 1, horizon, &res, &c)
-	if res.Tests != 1 {
-		t.Fatalf("at horizon: %d tests total, want still 1", res.Tests)
+	if res := walk(states, 1, horizon, &c, stamps); res.Tests != 0 {
+		t.Fatalf("at horizon: %d tests, want 0", res.Tests)
 	}
 	// Past it: recompute.
-	c.begin(stamps, 2)
-	refVerdict(states, 1, horizon+1, &res, &c)
-	if res.Tests != 2 {
-		t.Fatalf("past horizon: %d tests total, want 2", res.Tests)
+	if res := walk(states, 1, horizon+1, &c, stamps); res.Tests != 1 {
+		t.Fatalf("past horizon: %d tests, want 1", res.Tests)
 	}
 }
 
@@ -126,9 +109,7 @@ func TestCacheFailForever(t *testing.T) {
 
 	var c Cache
 	stamps := []uint64{1, 1}
-	c.begin(stamps, 2)
-	var res SearchResult
-	if ok := refVerdict(states, 1, now, &res, &c); ok {
+	if res := walk(states, 1, now, &c, stamps); res.IdleOK || c.entries[1].ok {
 		t.Fatal("verdict unexpectedly passed; fixture needs a tighter deadline")
 	}
 	if got := c.entries[1].validUntil; got != vtime.Infinity {
@@ -136,18 +117,14 @@ func TestCacheFailForever(t *testing.T) {
 	}
 
 	// Arbitrarily far in the future, same epoch: still served from cache.
-	c.begin(stamps, 2)
-	refVerdict(states, 1, now.Add(vtime.MS(1_000_000)), &res, &c)
-	if res.Tests != 1 {
-		t.Fatalf("far-future FAIL lookup ran %d tests total, want still 1", res.Tests)
+	if res := walk(states, 1, now.Add(vtime.MS(1_000_000)), &c, stamps); res.Tests != 0 {
+		t.Fatalf("far-future FAIL lookup ran %d tests, want 0", res.Tests)
 	}
 
 	// A stamp anywhere in 0..1 drops it.
 	stamps[0] = 2
-	c.begin(stamps, 2)
-	refVerdict(states, 1, now, &res, &c)
-	if res.Tests != 2 {
-		t.Fatalf("after stamp: %d tests total, want 2", res.Tests)
+	if res := walk(states, 1, now, &c, stamps); res.Tests != 1 {
+		t.Fatalf("after stamp: %d tests, want 1", res.Tests)
 	}
 }
 
@@ -162,32 +139,32 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	var c Cache
 
 	stamps := []uint64{1, 1}
-	lookups := 0
-	var res SearchResult
-	consult := func(h int, at vtime.Time) {
-		c.begin(stamps, 2)
-		refVerdict(states, h, at, &res, &c)
-		lookups++
+	var lookups, tests int64
+	// consult walks partitions first..1; on this fixture every verdict the
+	// walk reaches before the far-future one passes, so it consults each.
+	consult := func(first int, at vtime.Time) {
+		tests += walk(states, first, at, &c, stamps).Tests
+		lookups += int64(len(states) - first)
 	}
 
 	// Cold, warm, stale, and far-future consultations in one sequence.
-	consult(0, now)                          // miss (cold)
-	consult(1, now)                          // miss (cold)
-	consult(0, now)                          // hit
-	consult(1, now)                          // hit
+	consult(0, now)                          // miss, miss (cold)
+	consult(0, now)                          // hit, hit
 	stamps[1] = 2                            // stale partition 1 only
-	consult(0, now)                          // hit (prefix below the stamp)
-	consult(1, now)                          // miss (stamped)
+	consult(0, now)                          // hit (prefix below the stamp), miss (stamped)
 	consult(1, now.Add(vtime.MS(1_000_000))) // miss (past validUntil)
 
-	if got := c.Lookups(); got != int64(lookups) {
+	if got := c.Lookups(); got != lookups {
 		t.Fatalf("Lookups() = %d, want the %d consultations made", got, lookups)
+	}
+	if c.Hits() != 3 || c.Misses() != 4 {
+		t.Fatalf("hits %d, misses %d; want 3 and 4", c.Hits(), c.Misses())
 	}
 	if c.Hits()+c.Misses() != c.Lookups() {
 		t.Fatalf("hits %d + misses %d != lookups %d", c.Hits(), c.Misses(), c.Lookups())
 	}
-	if c.Misses() != res.Tests {
-		t.Fatalf("misses %d, but %d Algorithm-3 computations ran — each miss must compute exactly once", c.Misses(), res.Tests)
+	if c.Misses() != tests {
+		t.Fatalf("misses %d, but %d Algorithm-3 computations ran — each miss must compute exactly once", c.Misses(), tests)
 	}
 	wantRatio := float64(c.Hits()) / float64(c.Lookups())
 	if got := c.HitRatio(); got != wantRatio {

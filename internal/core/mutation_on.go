@@ -13,9 +13,9 @@ package core
 var cacheIgnoresInvalidation = true
 
 // fastPathDropsOwnStream under the timedice_mutation tag: the fixpoint fast
-// path reads the prefix minimum at m−2 for an inactive partition, ignoring
-// its own replenishment stream, so a run whose own stream arrives inside the
-// opening busy interval is wrongly settled with a zero interference sum.
+// path reads the fold's minimum above h (p.above) for an inactive partition,
+// ignoring its own replenishment stream, so a run whose own stream arrives
+// inside the opening busy interval is wrongly settled with a zero sum.
 // TestFastPathMutationCaught asserts that TestFixpointFastPath's fixtures
 // catch it.
 var fastPathDropsOwnStream = true

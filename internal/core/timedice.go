@@ -127,9 +127,9 @@ type SearchResult struct {
 // Π_(i) implies failure for all lower-priority candidates). If every
 // partition passes, CPU idling becomes an additional candidate.
 //
-// The scratch slice, when non-nil, is reused for the candidate list. This is
-// the reference search (see stateView); Policy keeps its own views and
-// allocates nothing per decision.
+// scratch is reused for the candidate list if it can hold every partition.
+// This is the reference search (see stateView); Policy keeps its own views
+// and allocates nothing per decision.
 func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, scratch []int) SearchResult {
 	var ref stateView
 	ref.bindSnapshot(states, now)
@@ -137,43 +137,81 @@ func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 }
 
 // search is the candidate walk of CandidateSearch over either binding of a
-// stateView (batch.go), with an optional verdict cache: every
-// schedulability test goes through testVerdict, which serves still-valid
-// memoized verdicts without recomputation. Policy always passes its cache;
-// CandidateSearch passes nil, which makes it the uncached reference.
-func search(v *stateView, w vtime.Duration, scratch []int, cache *Cache) SearchResult {
+// stateView (batch.go), with an optional verdict cache (cache.go): Policy
+// always passes its cache, CandidateSearch passes nil.
+//
+// The walk tests every partition from the first runnable one down, once and
+// in priority order, and stops at the first failure: a failure for Π_h
+// forbids every inversion below h, idling included. A runnable partition is
+// admitted before its own test, as its candidacy depends only on the
+// partitions above it, so the first is admitted untested: it causes no
+// inversion. If every test passes, idling is a candidate too. The same pass
+// folds, from partition 0, the kernel's prefix terms and the stamp maximum
+// that cached verdicts are checked against. res.Tests counts Algorithm-3
+// computations, never cache hits.
+func search(v *stateView, w vtime.Duration, scratch []int, c *Cache) SearchResult {
 	res := SearchResult{Candidates: scratch[:0]}
-	examined := 0 // partitions [0, examined) are covered
-	failed := false
-	v.ready.ForEachSet(func(i int) bool {
-		// Π_(1) is admitted untested: its execution causes no priority
-		// inversion. Every later candidate first covers the partitions
-		// between it and the previous one.
-		if len(res.Candidates) > 0 {
-			for ; examined < i; examined++ {
-				if !testVerdict(v, examined, w, &res, cache) {
-					failed = true
-					return false
-				}
-			}
-		}
-		res.Candidates = append(res.Candidates, i)
-		examined = i
-		return true
-	})
-	if failed || len(res.Candidates) == 0 {
-		// A failed test ends the walk, and with nothing runnable the CPU
-		// idles without a lottery: idling is no candidate either way.
+	first := v.ready.NextSet(0)
+	if first < 0 {
+		// With nothing runnable the CPU idles without a lottery.
 		return res
 	}
-	// Idle candidacy: the imaginary Π_IDLE has the lowest priority, so every
-	// remaining partition must pass.
-	for n := v.ready.Len(); examined < n; examined++ {
-		if !testVerdict(v, examined, w, &res, cache) {
-			return res
+	n := v.ready.Len()
+	if cap(res.Candidates) < n {
+		res.Candidates = make([]int, 0, n)
+	}
+	cand, k := res.Candidates[:n], 0
+	p := noPrefix
+	var stamp uint64 // max of the stamps of partitions 0..h
+	h := 0
+	for ; h < n; h++ {
+		p = v.fold(p, h)
+		if c != nil {
+			stamp = max(stamp, c.stamps[h])
+		}
+		if h < first {
+			continue
+		}
+		cand[k] = h
+		if v.ready.Test(h) {
+			k++
+		}
+		if c != nil {
+			if ok, hit := c.lookup(h, stamp, v.now); hit {
+				if !ok {
+					break
+				}
+				continue
+			}
+		}
+		res.Tests++
+		var ok bool
+		var validFor vtime.Duration
+		var cost fixCost
+		if v.ref {
+			ok, validFor, cost = v.refVerdict(h, w)
+		} else {
+			var cur, deadline, minArr vtime.Duration
+			ok, cur, deadline, minArr, cost = v.fixpoint(h, w, p)
+			if ok {
+				validFor = horizonOf(cur, deadline, minArr)
+			}
+		}
+		res.FixpointIters += cost.iters
+		res.InterferenceTerms += cost.terms
+		if c != nil {
+			validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
+			if ok {
+				validUntil = v.now.Add(validFor)
+			}
+			c.store(h, stamp, ok, validUntil)
+		}
+		if !ok {
+			break
 		}
 	}
-	res.IdleOK = true
+	// Idling is a candidate iff the walk passed every partition.
+	res.Candidates, res.IdleOK = cand[:k], h == n
 	return res
 }
 
@@ -279,7 +317,8 @@ type Policy struct {
 	rnd     *rng.Rand
 
 	stats   Stats
-	view    stateView // bound to the engine's arenas every decision
+	view    stateView      // bound to the arenas of sys
+	sys     *engine.System // the System view is bound to; nil before the first Pick
 	cache   Cache
 	scratch []int
 	weights []float64
@@ -434,13 +473,13 @@ func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint6
 
 // Pick implements engine.GlobalPolicy: one full TimeDice decision — reuse or
 // rerun the candidate search, then draw. The view is bound to the engine's
-// arenas and ready bitset (System.Hot), tests go through the verdict cache
-// to the decision kernel, and the lottery reads the same arenas. The
-// reference-policy differential in internal/gen pins the schedule and the
-// decision tallies to a policy that snapshots the live servers and runs the
-// uncached plain-division CandidateSearch and Select on every decision, and
-// hence the engine's arena publication, its ready bitset, the cache, search
-// reuse and the kernel to the reference.
+// arenas and ready bitset (System.Hot) once per System, tests go through the
+// verdict cache to the decision kernel, and the lottery reads the same
+// arenas. The reference-policy differential in internal/gen pins the schedule
+// and the decision tallies to a policy that snapshots the live servers and
+// runs the uncached plain-division CandidateSearch and Select on every
+// decision, and hence the engine's arena publication, its ready bitset, the
+// cache, search reuse and the kernel to the reference.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	rnd := p.rnd
 	if rnd == nil {
@@ -448,18 +487,23 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	}
 	p.stats.Decisions++
 	v := &p.view
-	v.bind(sys.Hot(), now)
+	if p.sys != sys {
+		// New allocates a System's arenas, Fork clones them into a new
+		// System, and Reset and Restore rewrite them in place.
+		v.bind(sys.Hot())
+		p.sys = sys
+	}
+	v.now = now
 	n := len(sys.Partitions)
 
 	var res SearchResult
 	if reuse, maxStamp := p.searchReusable(sys, now); reuse {
 		// Verdicts and runnable flags are unchanged by construction; the
-		// lottery reads the candidates' draining budgets from the fresh
-		// binding.
+		// lottery reads the candidates' draining budgets from the arenas.
 		res = SearchResult{Candidates: p.scratch, IdleOK: p.searchIdle}
 		p.stats.SearchReuses++
 	} else {
-		p.cache.begin(sys.StateStamps(), n)
+		p.cache.begin(sys.StateStamps())
 		res = search(v, p.quantum, p.scratch, &p.cache)
 		p.scratch = res.Candidates
 		p.searchInit = true

@@ -29,9 +29,10 @@ func buildStampSystem(t *testing.T, spec model.SystemSpec) *engine.System {
 // state stamp moves: releases, completions, budget depletion, replenishments,
 // and the silent period-boundary advance that fires no observer callback.
 // The stamps are what invalidate cached schedulability verdicts (a stamp on
-// partition j stales the cached verdicts of every h >= j via the prefix-max
-// in core.Cache), so per-partition precision here is per-partition cache
-// invalidation precision.
+// partition j stales the cached verdicts of every h >= j via the running
+// stamp maximum core's candidate walk checks each cache entry against), so
+// per-partition precision here is per-partition cache invalidation
+// precision.
 func TestStampBumpSites(t *testing.T) {
 	// Deferrable servers retain budget while idle, so no NoteIdle discards
 	// muddy the per-event attribution. Timeline (ms):

@@ -1,14 +1,22 @@
 package ml
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // KNN is a k-nearest-neighbors classifier (Euclidean distance); the simplest
 // possible execution-vector decoder, useful as a floor for the learned
 // receivers.
 //
 // Over 0/1 vectors the squared distance is a popcount of packed words (see
-// vecSet), exactly the float value, so the sort sees the same keys and
-// equal distances, which are common, tie as they do on the float path.
+// vecSet), exactly the float value. Predict then sorts 8-byte keys h<<1|y
+// with slices.SortFunc comparing h alone, where the float path sorts
+// (distance, label) pairs with sort.Slice. Both sorts are instances of one
+// pdqsort template, so the same comparison outcomes give the same
+// permutation, and equal distances, which are common, tie as they do on the
+// float path.
 type KNN struct {
 	// K is the neighborhood size (default 5).
 	K int
@@ -31,24 +39,31 @@ func (m *knnModel) Name() string { return "knn" }
 
 // Predict implements Classifier.
 func (m *knnModel) Predict(x []float64) int {
-	type cand struct {
-		d float64
-		y int
-	}
 	var buf [4]uint64 // a packed query of up to 256 coordinates stays on the stack
-	q := m.set.query(buf[:], x)
-	cands := make([]cand, len(m.ys))
-	for i, y := range m.ys {
-		cands[i] = cand{d: m.set.sqDistTo(i, x, q), y: y}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	k := m.k
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k := min(m.k, len(m.ys))
 	ones := 0
-	for i := 0; i < k; i++ {
-		ones += cands[i].y
+	if q := m.set.query(buf[:], x); q != nil {
+		keys := make([]uint64, len(m.ys))
+		for i, y := range m.ys {
+			keys[i] = uint64(hamming(m.set.row(i), q))<<1 | uint64(y)
+		}
+		slices.SortFunc(keys, func(a, b uint64) int { return cmp.Compare(a>>1, b>>1) })
+		for _, key := range keys[:k] {
+			ones += int(key & 1)
+		}
+	} else {
+		type cand struct {
+			d float64
+			y int
+		}
+		cands := make([]cand, len(m.ys))
+		for i, y := range m.ys {
+			cands[i] = cand{d: sqDist(m.set.xs[i], x), y: y}
+		}
+		sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
+		for _, c := range cands[:k] {
+			ones += c.y
+		}
 	}
 	if 2*ones >= k {
 		return 1

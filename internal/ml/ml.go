@@ -174,14 +174,6 @@ func hamming(a, b []uint64) int {
 	return h
 }
 
-// sqDistTo returns ‖xs[i]−x‖², where q is query(…, x).
-func (s *vecSet) sqDistTo(i int, x []float64, q []uint64) float64 {
-	if q != nil {
-		return float64(hamming(s.row(i), q))
-	}
-	return sqDist(s.xs[i], x)
-}
-
 // rbf evaluates the kernel exp(−γ‖a−b‖²) over a vecSet. Over a packed set
 // ‖a−b‖² takes only the dim+1 values 0…dim, and table[h] holds
 // math.Exp(-gamma*float64(h)): the same call on the same argument as the
