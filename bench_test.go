@@ -9,7 +9,6 @@ import (
 	"timedice/internal/engine"
 	"timedice/internal/experiments"
 	"timedice/internal/ml"
-	"timedice/internal/multicore"
 	"timedice/internal/policies"
 	"timedice/internal/rng"
 	"timedice/internal/server"
@@ -369,35 +368,6 @@ func BenchmarkUtilizationSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCrossCoreChannel verifies the partitioned-multicore isolation
-// result: the same channel that decodes on one core collapses across cores.
-func BenchmarkCrossCoreChannel(b *testing.B) {
-	spec := workload.TableIBase()
-	for i := range spec.Partitions {
-		spec.Partitions[i].Server = server.Deferrable
-	}
-	var same, cross float64
-	for i := 0; i < b.N; i++ {
-		rSame, err := multicore.Channel(multicore.ChannelConfig{
-			Spec: spec, Assignment: multicore.Assignment{Cores: 1, CoreOf: []int{0, 0, 0, 0, 0}},
-			Sender: 1, Receiver: 3, Windows: 300, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rCross, err := multicore.Channel(multicore.ChannelConfig{
-			Spec: spec, Assignment: multicore.Assignment{Cores: 2, CoreOf: []int{0, 0, 1, 1, 0}},
-			Sender: 1, Receiver: 3, Windows: 300, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		same, cross = rSame.Accuracy, rCross.Accuracy
-	}
-	b.ReportMetric(100*same, "same-core-acc%")
-	b.ReportMetric(100*cross, "cross-core-acc%")
 }
 
 // --- Micro-benchmarks of the hot paths ---

@@ -95,18 +95,6 @@ func ExampleSupplyBound() {
 	// sbf(28.000ms) = 4.000ms
 }
 
-// ExampleFirstFitDecreasing packs the Table I partitions onto cores.
-func ExampleFirstFitDecreasing() {
-	asg, err := timedice.FirstFitDecreasing(timedice.TableIBase(), 0.40, 0)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("cores:", asg.Cores)
-	// Output:
-	// cores: 3
-}
-
 // ExampleFig06 regenerates the paper's schedule-trace figure
 // programmatically (output suppressed here; see cmd/timedice-sim for the
 // rendered version).

@@ -1,10 +1,9 @@
-// Monitoring is the system integrator's console: the overt channels flow
-// through an auditable publish–subscribe bus, the telemetry event stream
+// Monitoring is the system integrator's console: the telemetry event stream
 // feeds live deadline-miss and inversion-window monitors, and a consumption
 // monitor watches every partition's budget usage for covert-sender
 // signatures — with TimeDice randomizing the schedule underneath. Defense in
-// depth: TimeDice degrades the covert channel, the monitor identifies who
-// was trying to use it, and the overt traffic is fully logged.
+// depth: TimeDice degrades the covert channel, and the monitor identifies
+// who was trying to use it.
 package main
 
 import (
@@ -60,24 +59,6 @@ func run() error {
 		return timedice.US(10)
 	}
 
-	// Overt traffic: P1's task publishes a heartbeat every completion;
-	// P5 subscribes and collects at its own completions.
-	bus := timedice.NewBus()
-	bus.Subscribe("heartbeat", "P5")
-	heartbeats := 0
-	var worstLatency timedice.Duration
-	built.Sched["P1"].OnComplete = func(c timedice.TaskCompletion) {
-		bus.Publish("heartbeat", "P1", c.Job.Index, c.Finish)
-	}
-	built.Sched["P5"].OnComplete = func(c timedice.TaskCompletion) {
-		for _, d := range bus.Collect("heartbeat", "P5", c.Finish) {
-			heartbeats++
-			if l := d.Latency(); l > worstLatency {
-				worstLatency = l
-			}
-		}
-	}
-
 	// The monitor: budget-consumption observer over the whole run.
 	mon := timedice.NewConsumptionObserver(spec)
 	sys.TraceFn = mon.Hook()
@@ -86,8 +67,6 @@ func run() error {
 	sys.FlushTelemetry() // close any inversion window still open at the horizon
 
 	fmt.Println("Integrator's console after 60 simulated seconds under TimeDiceW:")
-	fmt.Printf("  overt bus: %d heartbeats delivered, worst latency %v, %d messages audited\n",
-		heartbeats, worstLatency, len(bus.Audit()))
 	totalMisses := 0
 	for _, n := range misses {
 		totalMisses += n

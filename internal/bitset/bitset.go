@@ -57,16 +57,6 @@ func (b *Hier) Test(i int) bool {
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// Any reports whether the set is non-empty, reading only the summary.
-func (b *Hier) Any() bool {
-	for _, s := range b.summary {
-		if s != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ForEachSet calls fn for every set element in ascending order, stopping
 // early when fn returns false. It visits only occupied groups: the walk reads
 // the summary words, descends into each non-empty group, and never touches an
@@ -124,19 +114,6 @@ func (b *Hier) NextSet(i int) int {
 		}
 	}
 	return -1
-}
-
-// Count returns the number of set elements, visiting only occupied groups.
-func (b *Hier) Count() int {
-	n := 0
-	for sw, s := range b.summary {
-		for s != 0 {
-			g := sw<<6 + bits.TrailingZeros64(s)
-			s &= s - 1
-			n += bits.OnesCount64(b.words[g])
-		}
-	}
-	return n
 }
 
 // OccupiedGroups returns the number of non-empty 64-element groups — the

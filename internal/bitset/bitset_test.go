@@ -55,6 +55,31 @@ func (f *flat) count() int {
 	return n
 }
 
+// Any reports whether the set is non-empty, reading only the summary. With
+// Count, it observes the summary invariant: a summary bit is set iff its
+// group's word is non-zero.
+func (b *Hier) Any() bool {
+	for _, s := range b.summary {
+		if s != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Count returns the number of set elements, visiting only occupied groups.
+func (b *Hier) Count() int {
+	n := 0
+	for sw, s := range b.summary {
+		for s != 0 {
+			g := sw<<6 + bits.TrailingZeros64(s)
+			s &= s - 1
+			n += bits.OnesCount64(b.words[g])
+		}
+	}
+	return n
+}
+
 // compare checks every query of h against the reference f.
 func compare(t *testing.T, h *Hier, f *flat, ctx string) {
 	t.Helper()

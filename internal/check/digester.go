@@ -4,8 +4,8 @@ import "timedice/internal/telemetry"
 
 // Digester is the minimal telemetry sink: it folds every event into the
 // canonical FNV-1a stream digest and counts them, and does nothing else — no
-// oracles, no ledgers. The multicore layer attaches one per core to compute
-// the per-core digests its combined check digest folds together; it is also
+// oracles, no ledgers. A checkpoint records its prefix digest with one, a
+// fork continues its parent's digest with one (ResumeDigester), and it is
 // the cheapest way for a test to pin "these two runs emitted byte-identical
 // event streams".
 type Digester struct {
@@ -26,8 +26,8 @@ func (d *Digester) Event(e telemetry.Event) {
 	d.n++
 }
 
-// Digest returns the running stream digest — equal to DigestEvents of every
-// event observed so far.
+// Digest returns the running stream digest — equal to FoldEvents from
+// DigestSeed over every event observed so far.
 func (d *Digester) Digest() uint64 { return d.h }
 
 // Events returns the number of events folded so far.
@@ -44,6 +44,6 @@ var _ telemetry.Sink = (*Digester)(nil)
 // Fold64 folds one 64-bit word into a running FNV-1a digest as its eight
 // little-endian bytes — the same primitive the event digest uses.
 // Aggregators use it to combine per-unit digests into one order-sensitive
-// summary (e.g. multicore's combined digest, folding per-core digests in
-// core index order, and simfuzz's campaign digest).
+// summary: simfuzz's campaign digest folds each scenario's digest in
+// scenario order.
 func Fold64(h, v uint64) uint64 { return fnvFold(h, v) }

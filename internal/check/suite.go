@@ -164,10 +164,6 @@ func NewSuite(spec model.SystemSpec, kind policies.Kind) (*Suite, error) {
 	return s, nil
 }
 
-// MissFree reports whether the differential oracle's zero-miss gate is armed
-// for this system.
-func (s *Suite) MissFree() bool { return s.missFree }
-
 // Digest returns the FNV-1a digest of every event observed so far. Two runs
 // of the same scenario must produce identical digests (the determinism
 // contract simfuzz cross-checks).
@@ -220,7 +216,7 @@ func fnvFold(h, v uint64) uint64 {
 // in declaration order, integers as eight little-endian bytes and the task
 // name as its raw bytes. It is the single definition of the event-stream
 // digest: Suite.Digest, Digester, simfuzz's combined campaign digest, and the
-// post-mortem replay check (DigestEvents) all derive from it.
+// post-mortem replay check (FoldEvents from DigestSeed) all derive from it.
 func hashEvent(h uint64, e telemetry.Event) uint64 {
 	h = fnvFold(h, uint64(e.Time))
 	h = fnvFold(h, uint64(e.Kind))
@@ -234,21 +230,17 @@ func hashEvent(h uint64, e telemetry.Event) uint64 {
 	return h
 }
 
-// DigestEvents computes the canonical event-stream digest of a complete
-// stream, identical to what a Suite attached to the live run reports. A
-// post-mortem bundle whose events.jsonl covers the whole run must replay to
-// the live digest — the property the flight-recorder tests pin.
-func DigestEvents(events []telemetry.Event) uint64 { return FoldEvents(DigestSeed, events) }
-
 // DigestSeed is the initial value of the event-stream digest (the FNV-1a
-// offset basis). Folding a stream from DigestSeed with FoldEvents (or a
-// Digester) equals DigestEvents of the whole stream — which is what lets a
-// snapshot carry a prefix digest and the restored run's suffix continue it.
+// offset basis). Folding a complete stream from DigestSeed with FoldEvents
+// (or a Digester) gives the digest a Suite attached to the live run reports,
+// so a post-mortem bundle whose events.jsonl covers the whole run replays to
+// the live digest — the property the flight-recorder tests pin.
 const DigestSeed uint64 = fnvOffset
 
-// FoldEvents folds a slice of events into a running digest:
-// FoldEvents(DigestSeed, all) == DigestEvents(all), and for any split point
-// DigestEvents(all) == FoldEvents(DigestEvents(prefix), suffix).
+// FoldEvents folds a slice of events into a running digest. For any split
+// point, FoldEvents(DigestSeed, all) ==
+// FoldEvents(FoldEvents(DigestSeed, prefix), suffix) — which is what lets a
+// snapshot carry a prefix digest and the restored run's suffix continue it.
 func FoldEvents(h uint64, events []telemetry.Event) uint64 {
 	for _, e := range events {
 		h = hashEvent(h, e)

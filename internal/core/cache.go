@@ -124,21 +124,6 @@ func (c *Cache) Hits() int64 { return c.hits }
 // actually run through the cache).
 func (c *Cache) Misses() int64 { return c.misses }
 
-// Lookups returns the total number of cache consultations. Hits and misses
-// partition the lookups exactly: Hits() + Misses() == Lookups() always (a
-// unit test pins this), so the hit ratio reported by /metrics and the
-// tests/decision numbers in HACKING derive from one source.
-func (c *Cache) Lookups() int64 { return c.hits + c.misses }
-
-// HitRatio returns Hits/Lookups, or 0 before any lookup.
-func (c *Cache) HitRatio() float64 {
-	l := c.hits + c.misses
-	if l == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(l)
-}
-
 // Reset clears every memoized verdict and the hit/miss counters; entries
 // become unreusable at any instant (validUntil −1 precedes every virtual
 // time).

@@ -314,7 +314,6 @@ type Stats struct {
 type Policy struct {
 	quantum vtime.Duration
 	mode    SelectionMode
-	rnd     *rng.Rand
 
 	stats   Stats
 	view    stateView      // bound to the arenas of sys
@@ -356,12 +355,6 @@ func WithQuantum(q vtime.Duration) Option {
 // WithSelection sets the Step-2 randomization mode (default SelectWeighted).
 func WithSelection(m SelectionMode) Option {
 	return func(p *Policy) { p.mode = m }
-}
-
-// WithRand gives the policy its own random stream; by default it uses the
-// engine's system stream.
-func WithRand(r *rng.Rand) Option {
-	return func(p *Policy) { p.rnd = r }
 }
 
 // NewPolicy builds a TimeDice policy (TimeDiceW unless configured otherwise).
@@ -408,8 +401,8 @@ func (p *Policy) ResetStats() {
 // Reset restores the policy to its initial state — counters zeroed, every
 // cached verdict dropped, scratch capacity retained — so a reused policy is
 // indistinguishable from a freshly constructed one. The engine's
-// System.Reset calls it automatically; the policy's random stream (WithRand)
-// is owned by the caller and must be reseeded separately.
+// System.Reset calls it automatically. The lottery draws from the engine's
+// system stream, so the policy holds no random state of its own.
 func (p *Policy) Reset() {
 	p.ResetStats()
 	p.lastCandidates, p.lastTests = 0, 0
@@ -422,18 +415,12 @@ func (p *Policy) Reset() {
 }
 
 // ForkPolicy implements engine.PolicyForker: an independent policy with the
-// same configuration (quantum, selection mode) and fresh decision state, plus
-// a cloned position of the private random stream when WithRand gave the
-// policy one. Starting the fork with an empty verdict cache and no reusable
-// search is digest-exact — the reference-policy differential pins both
-// equivalent to a from-scratch search — so a fork schedules identically to
-// its parent.
+// same configuration (quantum, selection mode) and fresh decision state.
+// Starting the fork with an empty verdict cache and no reusable search is
+// digest-exact — the reference-policy differential pins both equivalent to a
+// from-scratch search — so a fork schedules identically to its parent.
 func (p *Policy) ForkPolicy() engine.GlobalPolicy {
-	np := &Policy{quantum: p.quantum, mode: p.mode}
-	if p.rnd != nil {
-		np.rnd = p.rnd.Clone()
-	}
-	return np
+	return &Policy{quantum: p.quantum, mode: p.mode}
 }
 
 // Snapshot fills states (reusing its backing array) with the current view of
@@ -481,10 +468,6 @@ func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint6
 // decision, and hence the engine's arena publication, its ready bitset, the
 // cache, search reuse and the kernel to the reference.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
-	rnd := p.rnd
-	if rnd == nil {
-		rnd = sys.Rand
-	}
 	p.stats.Decisions++
 	v := &p.view
 	if p.sys != sys {
@@ -529,7 +512,7 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	if cap(p.weights) < n+1 {
 		p.weights = make([]float64, 0, n+1)
 	}
-	choice := lottery(v, res, p.mode, rnd, p.weights)
+	choice := lottery(v, res, p.mode, sys.Rand, p.weights)
 	if choice == IdleChoice {
 		p.stats.IdleSelected++
 		return nil

@@ -285,7 +285,7 @@ func TestDeriveResponseTracksTrueResponse(t *testing.T) {
 		if ob.Response > window {
 			continue // job spilled into the next window; derivation is a lower bound
 		}
-		derived := DeriveResponse(ob.Vector, window)
+		derived := deriveResponse(ob.Vector, window)
 		diff := derived - ob.Response
 		if diff < 0 {
 			diff = -diff
@@ -301,13 +301,13 @@ func TestDeriveResponseTracksTrueResponse(t *testing.T) {
 }
 
 func TestDeriveResponseDegenerate(t *testing.T) {
-	if DeriveResponse(nil, vtime.MS(150)) != 0 {
+	if deriveResponse(nil, vtime.MS(150)) != 0 {
 		t.Error("empty vector")
 	}
-	if DeriveResponse([]float64{0, 0, 0}, vtime.MS(150)) != 0 {
+	if deriveResponse([]float64{0, 0, 0}, vtime.MS(150)) != 0 {
 		t.Error("all-idle vector")
 	}
-	if got := DeriveResponse([]float64{0, 1, 0}, vtime.MS(150)); got != vtime.MS(100) {
+	if got := deriveResponse([]float64{0, 1, 0}, vtime.MS(150)); got != vtime.MS(100) {
 		t.Errorf("derived %v, want 100ms (end of 2nd of 3 intervals)", got)
 	}
 }

@@ -2,7 +2,7 @@ package covert
 
 import "timedice/internal/vtime"
 
-// DeriveResponse estimates the receiver's response time from its execution
+// deriveResponse estimates the receiver's response time from its execution
 // vector alone: the end of the last micro-interval in which the receiver
 // executed within the window. §III-d observes that the response time "can be
 // derived from" the execution vector — which is why the learning-based
@@ -10,7 +10,7 @@ import "timedice/internal/vtime"
 // estimate is exact up to one micro-interval of quantization whenever the
 // receiver's job finishes within its own window and its last execution
 // belongs to that job.
-func DeriveResponse(vector []float64, window vtime.Duration) vtime.Duration {
+func deriveResponse(vector []float64, window vtime.Duration) vtime.Duration {
 	if len(vector) == 0 {
 		return 0
 	}

@@ -182,17 +182,18 @@ type System struct {
 	running int // index of last picked partition, or -1
 	perPart []vtime.Duration
 
-	// evq caches each partition's NextLocalEvent (earliest replenishment or
-	// task arrival) as the key of a 4-ary index-min heap, evq.Key(i). A key
-	// is exact between refreshes: a partition's next event can only change
-	// when events due at or before now are delivered to it, or when it
-	// executes (budget consumption schedules the replacement replenishment)
-	// — both sites refresh it through publishHot. The heap answers the two
-	// questions step asks — "who is due?" (CollectDue) and "what is the
-	// earliest future event?" (MinKey) — in time proportional to the answer
-	// instead of O(P), so step skips quiescent partitions entirely. Keys
-	// start at zero so the first step touches everyone (task arrival anchors
-	// are computed lazily on first delivery).
+	// evq caches each partition's next local event (HotState.NextEvent:
+	// earliest replenishment or task arrival) as the key of a 4-ary
+	// index-min heap, evq.Key(i). A key is exact between refreshes: a
+	// partition's next event can only change when events due at or before
+	// now are delivered to it, or when it executes (budget consumption
+	// schedules the replacement replenishment) — both sites refresh it
+	// through publishHot. The heap answers the two questions step asks —
+	// "who is due?" (CollectDue) and "what is the earliest future event?"
+	// (MinKey) — in time proportional to the answer instead of O(P), so step
+	// skips quiescent partitions entirely. Keys start at zero so the first
+	// step touches everyone (task arrival anchors are computed lazily on
+	// first delivery).
 	evq *eventq.IndexMin
 	// ready is a two-level hierarchical bitset over partition indices with
 	// bit i set iff Partitions[i].Runnable() (active server ∧ ready work). It
@@ -902,7 +903,7 @@ type PolicyResetter interface {
 // no pending jobs, zeroed counters, and — when the policy implements
 // PolicyResetter — a reset policy. Buffers everywhere retain their capacity,
 // so a reset system replays a trial without allocating. The RNG is kept
-// as-is; use ResetSeed to rewind it too.
+// as-is; reseed System.Rand to rewind it too.
 func (s *System) Reset() {
 	for _, p := range s.Partitions {
 		p.Reset()
@@ -923,14 +924,6 @@ func (s *System) Reset() {
 	if pr, ok := s.Policy.(PolicyResetter); ok {
 		pr.Reset()
 	}
-}
-
-// ResetSeed is Reset plus reseeding the system RNG, making the reused system
-// bit-for-bit equivalent to a freshly constructed one with that seed: same
-// schedule, same telemetry digests, no construction allocations.
-func (s *System) ResetSeed(seed uint64) {
-	s.Reset()
-	s.Rand.Seed(seed)
 }
 
 // SetSharding does nothing: the engine steps every system on one goroutine,

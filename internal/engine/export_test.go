@@ -54,3 +54,11 @@ func (s *System) scanStep(until vtime.Time) {
 	}
 	s.decideAndExecute(until, horizon)
 }
+
+// ResetSeed is Reset plus reseeding the system RNG, making the reused system
+// bit-for-bit equivalent to a freshly constructed one with that seed: same
+// schedule, same telemetry digests, no construction allocations.
+func (s *System) ResetSeed(seed uint64) {
+	s.Reset()
+	s.Rand.Seed(seed)
+}

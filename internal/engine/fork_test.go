@@ -53,8 +53,8 @@ func TestForkDigestsMatch(t *testing.T) {
 		fk.FlushTelemetry()
 
 		parentSuffix := rec.Events()[prefixLen:]
-		want := check.DigestEvents(parentSuffix)
-		got := check.DigestEvents(frec.Events())
+		want := check.FoldEvents(check.DigestSeed, parentSuffix)
+		got := check.FoldEvents(check.DigestSeed, frec.Events())
 		if want != got {
 			enc, _ := gen.Encode(sc)
 			t.Errorf("scenario %d: fork digest %#016x != parent suffix %#016x\nscenario: %s", i, got, want, enc)

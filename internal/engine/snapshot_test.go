@@ -85,8 +85,8 @@ func snapshotRoundTrip(sc gen.Scenario) (mismatch string, err error) {
 	restored.Run(horizon)
 	restored.FlushTelemetry()
 
-	want := check.DigestEvents(straight)
-	got := check.FoldEvents(check.DigestEvents(straight[:prefixLen]), rec2.Events())
+	want := check.FoldEvents(check.DigestSeed, straight)
+	got := check.FoldEvents(check.FoldEvents(check.DigestSeed, straight[:prefixLen]), rec2.Events())
 	if want != got {
 		return fmt.Sprintf("event digest: straight %#016x, snapshot+restore %#016x", want, got), nil
 	}

@@ -1,16 +1,15 @@
 package gen
 
 // Checkpointing scenario runs: Build exposes the exact system construction
-// Run uses, and CheckpointAt / CheckpointBeforeViolation capture an
-// engine.Snapshot of a scenario mid-run together with the event-digest prefix
-// up to that point. A checkpoint restores into a freshly built system and
+// Run uses, and CheckpointBeforeViolation captures an engine.Snapshot of a
+// scenario mid-run together with the event-digest prefix up to that point. A
+// checkpoint restores (System.Restore) into a freshly built system and
 // continues digest-identically, which is what lets post-mortem bundles
 // restore-and-replay instead of replaying from zero, and lets simfuzz branch
 // exploration forks from interesting states.
 
 import (
 	"bytes"
-	"fmt"
 
 	"timedice/internal/check"
 	"timedice/internal/engine"
@@ -45,26 +44,6 @@ type Checkpoint struct {
 	At           vtime.Time
 	PrefixDigest uint64
 	Events       int64
-}
-
-// CheckpointAt runs the scenario from zero to the first step boundary at or
-// after `at` (capped at the horizon) and captures a checkpoint there.
-func CheckpointAt(sc Scenario, at vtime.Time) (Checkpoint, error) {
-	sys, err := Build(sc)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	sink := check.NewDigester()
-	sys.AttachTelemetry(sink)
-	horizon := vtime.Time(0).Add(sc.Horizon)
-	for sys.Now() < at && sys.Now() < horizon {
-		sys.Step(horizon)
-	}
-	var buf bytes.Buffer
-	if err := sys.Snapshot(&buf); err != nil {
-		return Checkpoint{}, err
-	}
-	return Checkpoint{State: buf.Bytes(), At: sys.Now(), PrefixDigest: sink.Digest(), Events: sink.Events()}, nil
 }
 
 // CheckpointBeforeViolation runs the scenario with the full oracle suite
@@ -102,19 +81,4 @@ func CheckpointBeforeViolation(sc Scenario) (cp Checkpoint, found bool, err erro
 		}
 	}
 	return cp, false, nil
-}
-
-// RestoreCheckpoint builds the scenario's system afresh and restores the
-// checkpoint into it. The returned system is at cp.At with no telemetry
-// attached; attach a sink and run to the horizon to reproduce the
-// straight-line run's suffix.
-func RestoreCheckpoint(sc Scenario, cp Checkpoint) (*engine.System, error) {
-	sys, err := Build(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Restore(bytes.NewReader(cp.State)); err != nil {
-		return nil, fmt.Errorf("gen: restoring checkpoint: %w", err)
-	}
-	return sys, nil
 }

@@ -1,9 +1,12 @@
 package gen
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"timedice/internal/check"
+	"timedice/internal/engine"
 	"timedice/internal/rng"
 	"timedice/internal/vtime"
 )
@@ -24,7 +27,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	sys.Run(horizon)
 	sys.FlushTelemetry()
 
-	cp, err := CheckpointAt(sc, vtime.Time(0).Add(sc.Horizon/3))
+	cp, err := checkpointAt(sc, vtime.Time(0).Add(sc.Horizon/3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint at %v, want in [%v, %v)", cp.At, vtime.Time(0).Add(sc.Horizon/3), horizon)
 	}
 
-	restored, err := RestoreCheckpoint(sc, cp)
+	restored, err := restoreCheckpoint(sc, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestCheckpointBeforeViolationClean(t *testing.T) {
 		t.Fatalf("checkpoint at %v, want before horizon %v", cp.At, horizon)
 	}
 
-	restored, err := RestoreCheckpoint(sc, cp)
+	restored, err := restoreCheckpoint(sc, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,4 +95,39 @@ func TestCheckpointBeforeViolationClean(t *testing.T) {
 		t.Fatalf("final step digest %#016x (%d events) != straight line %#016x (%d events)",
 			suffix.Digest(), suffix.Events(), full.Digest(), full.Events())
 	}
+}
+
+// checkpointAt runs the scenario from zero to the first step boundary at or
+// after `at` (capped at the horizon) and captures a checkpoint there.
+func checkpointAt(sc Scenario, at vtime.Time) (Checkpoint, error) {
+	sys, err := Build(sc)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	sink := check.NewDigester()
+	sys.AttachTelemetry(sink)
+	horizon := vtime.Time(0).Add(sc.Horizon)
+	for sys.Now() < at && sys.Now() < horizon {
+		sys.Step(horizon)
+	}
+	var buf bytes.Buffer
+	if err := sys.Snapshot(&buf); err != nil {
+		return Checkpoint{}, err
+	}
+	return Checkpoint{State: buf.Bytes(), At: sys.Now(), PrefixDigest: sink.Digest(), Events: sink.Events()}, nil
+}
+
+// restoreCheckpoint builds the scenario's system afresh and restores the
+// checkpoint into it. The returned system is at cp.At with no telemetry
+// attached; attach a sink and run to the horizon to reproduce the
+// straight-line run's suffix.
+func restoreCheckpoint(sc Scenario, cp Checkpoint) (*engine.System, error) {
+	sys, err := Build(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Restore(bytes.NewReader(cp.State)); err != nil {
+		return nil, fmt.Errorf("gen: restoring checkpoint: %w", err)
+	}
+	return sys, nil
 }

@@ -278,30 +278,6 @@ func repairTasks(spec *model.SystemSpec) {
 	}
 }
 
-// ConstrainDeadlines tightens some implicit deadlines to constrained ones
-// that still clear the task's universal bound (midpoint between the bound and
-// the period). Call after GenerateSpec when deadline variety is wanted; the
-// result remains guaranteed miss-free.
-func ConstrainDeadlines(r *rng.Rand, spec *model.SystemSpec, prob float64) {
-	for pi := range spec.Partitions {
-		p := &spec.Partitions[pi]
-		for tj := range p.Tasks {
-			t := &p.Tasks[tj]
-			if t.Deadline != 0 || !r.Bool(prob) {
-				continue
-			}
-			u := check.UniversalBound(*spec, pi, tj)
-			if u == analysis.Unschedulable || u >= t.Period {
-				continue
-			}
-			d := u + (t.Period-u)/2
-			if d >= t.WCET && d < t.Period {
-				t.Deadline = d
-			}
-		}
-	}
-}
-
 // uuniFast draws n non-negative utilizations summing to total, uniformly over
 // the simplex (Bini & Buttazzo).
 func uuniFast(r *rng.Rand, n int, total float64) []float64 {

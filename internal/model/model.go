@@ -36,15 +36,6 @@ func (p PartitionSpec) Utilization() float64 {
 	return float64(p.Budget) / float64(p.Period)
 }
 
-// LocalUtilization returns Σ e/p over the partition's tasks.
-func (p PartitionSpec) LocalUtilization() float64 {
-	var u float64
-	for _, t := range p.Tasks {
-		u += float64(t.WCET) / float64(t.Period)
-	}
-	return u
-}
-
 // SystemSpec describes a complete system. Partitions are in decreasing
 // priority order: Partitions[0] is the highest-priority partition.
 type SystemSpec struct {

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"testing"
 
 	"timedice/internal/server"
@@ -47,9 +46,6 @@ func TestUtilization(t *testing.T) {
 	s := validSpec()
 	if got := s.Utilization(); got != 0.35 {
 		t.Errorf("utilization = %v, want 0.35", got)
-	}
-	if got := s.Partitions[1].LocalUtilization(); math.Abs(got-0.075) > 1e-12 {
-		t.Errorf("local utilization = %v, want 0.075", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := check.DigestEvents(events); got != suite.Digest() {
+	if got := check.FoldEvents(check.DigestSeed, events); got != suite.Digest() {
 		t.Fatalf("replayed bundle digest %#016x != live digest %#016x", got, suite.Digest())
 	}
 

@@ -208,16 +208,3 @@ func (r *Run) write() error {
 	}
 	return nil
 }
-
-// ReadManifest loads a run.json (for tests and tooling).
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		return m, fmt.Errorf("obs: manifest %s: %w", path, err)
-	}
-	return m, nil
-}

@@ -48,10 +48,7 @@ func (r *Recorder) Event(e telemetry.Event) {
 	r.total++
 }
 
-// Cap returns the window capacity.
-func (r *Recorder) Cap() int { return len(r.buf) }
-
-// Len returns the number of events currently retained (≤ Cap).
+// Len returns the number of events currently retained (at most the window).
 func (r *Recorder) Len() int { return r.fill }
 
 // Total returns the number of events ever observed, including those already

@@ -60,9 +60,6 @@ func (p *Partition) Active() bool { return p.Server.Active() }
 // the two coincide (idle budget is discarded immediately).
 func (p *Partition) Runnable() bool { return p.Server.Active() && p.Local.HasReady() }
 
-// HigherPriorityThan reports whether p has strictly higher priority than o.
-func (p *Partition) HigherPriorityThan(o *Partition) bool { return p.Priority < o.Priority }
-
 // Observer receives both lifecycle feeds of a partition: its local
 // scheduler's job events and its server's budget events.
 type Observer interface {
@@ -97,17 +94,6 @@ func (p *Partition) Clone() *Partition {
 	return c
 }
 
-// NextLocalEvent returns the earliest future instant at which this partition
-// generates a scheduling event on its own: a budget replenishment or a task
-// arrival.
-func (p *Partition) NextLocalEvent() vtime.Time {
-	next := p.Server.NextReplenish()
-	if a := p.Local.NextArrival(); a < next {
-		next = a
-	}
-	return next
-}
-
 // HotState is the flat snapshot of the scheduling-hot scalars of one
 // partition: everything the engine mirrors into its struct-of-arrays arenas
 // after an event delivery or an execution slice. Gathering them in one call
@@ -117,13 +103,12 @@ type HotState struct {
 	Remaining vtime.Duration // B_i(t)
 	Deadline  vtime.Time     // d_{i,t} = r_{i,t} + T_i
 	Supply    vtime.Time     // earliest future budget gain (sporadic chunks may precede Deadline)
-	NextEvent vtime.Time     // NextLocalEvent: min(Supply, next task arrival)
+	NextEvent vtime.Time     // earliest own scheduling event: min(Supply, next task arrival)
 	Runnable  bool           // active ∧ ready work
 }
 
-// Hot assembles the HotState snapshot. It is equivalent to calling Remaining/
-// Deadline/NextReplenish/NextLocalEvent/Runnable individually, with one pass
-// over the local scheduler's task states instead of two.
+// Hot assembles the HotState snapshot with one pass over the local
+// scheduler's task states.
 func (p *Partition) Hot() HotState {
 	rem := p.Server.Remaining()
 	supply := p.Server.NextReplenish()

@@ -49,23 +49,15 @@ func TestActiveVsRunnable(t *testing.T) {
 	}
 }
 
-func TestHigherPriorityThan(t *testing.T) {
-	a, _ := New("a", 1, 1, 2, server.Polling, nil)
-	b, _ := New("b", 2, 1, 2, server.Polling, nil)
-	if !a.HigherPriorityThan(b) || b.HigherPriorityThan(a) {
-		t.Error("priority comparison broken")
-	}
-}
-
 func TestNextLocalEvent(t *testing.T) {
 	p := newPart(t)
 	p.Local.ReleaseUpTo(0)
 	// Next events: replenishment at 10ms, arrival at 5ms → 5ms.
-	if got := p.NextLocalEvent(); got != vtime.Time(vtime.MS(5)) {
+	if got := p.Hot().NextEvent; got != vtime.Time(vtime.MS(5)) {
 		t.Errorf("next event %v, want 5ms", got)
 	}
 	p.Local.ReleaseUpTo(vtime.Time(vtime.MS(5)))
-	if got := p.NextLocalEvent(); got != vtime.Time(vtime.MS(10)) {
+	if got := p.Hot().NextEvent; got != vtime.Time(vtime.MS(10)) {
 		t.Errorf("next event %v, want 10ms (replenishment)", got)
 	}
 }

@@ -44,9 +44,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Randomizing reports whether the policy randomizes the schedule.
-func (k Kind) Randomizing() bool { return k == TimeDiceU || k == TimeDiceW }
-
 // Options tune policy construction.
 type Options struct {
 	// Quantum is MIN_INV_SIZE for the TimeDice policies (default 1 ms).

@@ -23,15 +23,6 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func TestRandomizing(t *testing.T) {
-	if policies.NoRandom.Randomizing() || policies.TDMA.Randomizing() {
-		t.Error("non-randomizing kinds misreported")
-	}
-	if !policies.TimeDiceU.Randomizing() || !policies.TimeDiceW.Randomizing() {
-		t.Error("TimeDice kinds misreported")
-	}
-}
-
 func TestBuildAllKinds(t *testing.T) {
 	built, err := workload.ThreePartition().Build()
 	if err != nil {

@@ -110,16 +110,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Jitter returns a multiplicative factor uniform in [1-frac, 1+frac]. It is
-// used by noise tasks that vary their periods and execution times by "up to
-// 20%" as in the paper's feasibility test (frac = 0.2).
-func (r *Rand) Jitter(frac float64) float64 {
-	if frac <= 0 {
-		return 1
-	}
-	return 1 + frac*(2*r.Float64()-1)
-}
-
 // WeightedIndex returns an index in [0, len(w)) chosen with probability
 // proportional to w[i]. Non-positive weights are treated as zero. If all
 // weights are zero it falls back to a uniform choice. It panics on an empty

@@ -135,19 +135,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 10000; i++ {
-		j := r.Jitter(0.2)
-		if j < 0.8 || j > 1.2 {
-			t.Fatalf("Jitter(0.2) = %v out of [0.8,1.2]", j)
-		}
-	}
-	if r.Jitter(0) != 1 {
-		t.Error("Jitter(0) must be exactly 1")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	p := r.Perm(50)

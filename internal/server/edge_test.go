@@ -41,7 +41,7 @@ func (o *obsRecorder) Depleted(tag int, at vtime.Time, discarded vtime.Duration)
 // first, then a full replenish at the same instant).
 func TestDepleteExactlyAtBoundary(t *testing.T) {
 	for _, pol := range []Policy{Polling, Deferrable} {
-		s := MustNew(vtime.MS(2), vtime.MS(10), pol)
+		s := mustNew(vtime.MS(2), vtime.MS(10), pol)
 		rec := &obsRecorder{}
 		s.SetObserver(rec, 7)
 
@@ -79,7 +79,7 @@ func TestDepleteExactlyAtBoundary(t *testing.T) {
 // analyses must (and do) account for. The ledger must permit the burst
 // without ever exceeding B within a single period window.
 func TestDeferrableBackToBackBurst(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Deferrable)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Deferrable)
 
 	// Idle through most of the period: deferrable retains.
 	s.AdvanceTo(vtime.Time(vtime.MS(8)))
@@ -125,7 +125,7 @@ func TestDeferrableBackToBackBurst(t *testing.T) {
 // separate chunks, each one period after its own start — not merged at the
 // period boundary.
 func TestSporadicReplenishmentSplitting(t *testing.T) {
-	s := MustNew(vtime.MS(3), vtime.MS(10), Sporadic)
+	s := mustNew(vtime.MS(3), vtime.MS(10), Sporadic)
 	rec := &obsRecorder{}
 	s.SetObserver(rec, 7)
 
@@ -182,7 +182,7 @@ func TestMutationHookInert(t *testing.T) {
 	if replenishShort != 0 {
 		t.Skip("mutation build: replenishment deliberately shorted")
 	}
-	s := MustNew(vtime.MS(2), vtime.MS(10), Polling)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Polling)
 	s.Consume(0, vtime.MS(2))
 	s.AdvanceTo(vtime.Time(vtime.MS(10)))
 	if s.Remaining() != vtime.MS(2) {

@@ -91,18 +91,9 @@ type replQueue struct {
 // callback passes tag back, so one observer can serve many servers.
 func (s *Server) SetObserver(o Observer, tag int) { s.obs, s.tag = o, tag }
 
-// New returns a server with maximum budget b replenished every period t under
-// the given policy. The budget is initially full with r_{i,0} = 0.
-func New(b, t vtime.Duration, policy Policy) (*Server, error) {
-	s := new(Server)
-	if err := s.Init(b, t, policy); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init makes the zero Server s the server New(b, t, policy) would return,
-// in place. On error s is left unchanged.
+// Init makes the zero Server s, in place, a server with maximum budget b
+// replenished every period t under the given policy. The budget is initially
+// full with r_{i,0} = 0. On error s is left unchanged.
 func (s *Server) Init(b, t vtime.Duration, policy Policy) error {
 	switch {
 	case b <= 0:
@@ -122,15 +113,6 @@ func (s *Server) Init(b, t vtime.Duration, policy Policy) error {
 		s.repl = new(replQueue)
 	}
 	return nil
-}
-
-// MustNew is New but panics on error; for tests and static configurations.
-func MustNew(b, t vtime.Duration, policy Policy) *Server {
-	s, err := New(b, t, policy)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Budget returns B_i.
@@ -239,17 +221,6 @@ func (s *Server) Deadline() vtime.Time { return s.lastReplenish.Add(s.period) }
 // Utilization returns B_i/T_i.
 func (s *Server) Utilization() float64 {
 	return float64(s.budget) / float64(s.period)
-}
-
-// RemainingUtilization returns u_{i,t} = B_i(t) / (d_{i,t} - t), the quantity
-// the weighted selection of §IV-A2 assigns as the lottery weight. It returns
-// 0 when the deadline is not in the future.
-func (s *Server) RemainingUtilization(now vtime.Time) float64 {
-	den := s.Deadline().Sub(now)
-	if den <= 0 {
-		return 0
-	}
-	return float64(s.remaining) / float64(den)
 }
 
 // Reset restores the initial state: full budget, r = 0, no pending sporadic

@@ -7,19 +7,19 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, vtime.MS(10), Polling); err == nil {
+	if _, err := newServer(0, vtime.MS(10), Polling); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := New(vtime.MS(5), 0, Polling); err == nil {
+	if _, err := newServer(vtime.MS(5), 0, Polling); err == nil {
 		t.Error("zero period accepted")
 	}
-	if _, err := New(vtime.MS(11), vtime.MS(10), Polling); err == nil {
+	if _, err := newServer(vtime.MS(11), vtime.MS(10), Polling); err == nil {
 		t.Error("budget > period accepted")
 	}
-	if _, err := New(vtime.MS(1), vtime.MS(10), Policy(99)); err == nil {
+	if _, err := newServer(vtime.MS(1), vtime.MS(10), Policy(99)); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New(vtime.MS(1), vtime.MS(10), Deferrable); err != nil {
+	if _, err := newServer(vtime.MS(1), vtime.MS(10), Deferrable); err != nil {
 		t.Errorf("valid server rejected: %v", err)
 	}
 }
@@ -31,7 +31,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestInitialState(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Polling)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Polling)
 	if !s.Active() || s.Remaining() != vtime.MS(2) || s.LastReplenish() != 0 {
 		t.Error("initial state wrong")
 	}
@@ -45,7 +45,7 @@ func TestInitialState(t *testing.T) {
 
 func TestPeriodicReplenishment(t *testing.T) {
 	for _, pol := range []Policy{Polling, Deferrable} {
-		s := MustNew(vtime.MS(2), vtime.MS(10), pol)
+		s := mustNew(vtime.MS(2), vtime.MS(10), pol)
 		s.Consume(0, vtime.MS(2))
 		if s.Active() {
 			t.Fatalf("%v: active after full consumption", pol)
@@ -65,7 +65,7 @@ func TestPeriodicReplenishment(t *testing.T) {
 }
 
 func TestMultiPeriodAdvance(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Deferrable)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Deferrable)
 	s.Consume(0, vtime.MS(1))
 	s.AdvanceTo(vtime.Time(vtime.MS(35)))
 	if s.Remaining() != vtime.MS(2) {
@@ -80,7 +80,7 @@ func TestMultiPeriodAdvance(t *testing.T) {
 }
 
 func TestPollingDiscardsIdleBudget(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Polling)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Polling)
 	if !s.NoteIdle(0) {
 		t.Fatal("polling server should discard on idle")
 	}
@@ -88,19 +88,19 @@ func TestPollingDiscardsIdleBudget(t *testing.T) {
 		t.Fatal("still active after discard")
 	}
 	// Deferrable retains.
-	d := MustNew(vtime.MS(2), vtime.MS(10), Deferrable)
+	d := mustNew(vtime.MS(2), vtime.MS(10), Deferrable)
 	if d.NoteIdle(0) || !d.Active() {
 		t.Fatal("deferrable server must retain idle budget")
 	}
 	// Sporadic retains.
-	sp := MustNew(vtime.MS(2), vtime.MS(10), Sporadic)
+	sp := mustNew(vtime.MS(2), vtime.MS(10), Sporadic)
 	if sp.NoteIdle(0) || !sp.Active() {
 		t.Fatal("sporadic server must retain idle budget")
 	}
 }
 
 func TestSporadicChunkReplenishment(t *testing.T) {
-	s := MustNew(vtime.MS(4), vtime.MS(10), Sporadic)
+	s := mustNew(vtime.MS(4), vtime.MS(10), Sporadic)
 	// Consume 1ms at t=2 and 2ms at t=5.
 	s.AdvanceTo(vtime.Time(vtime.MS(2)))
 	s.Consume(vtime.Time(vtime.MS(2)), vtime.MS(1))
@@ -127,7 +127,7 @@ func TestSporadicChunkReplenishment(t *testing.T) {
 }
 
 func TestSporadicCapsAtBudget(t *testing.T) {
-	s := MustNew(vtime.MS(4), vtime.MS(10), Sporadic)
+	s := mustNew(vtime.MS(4), vtime.MS(10), Sporadic)
 	s.Consume(0, vtime.MS(1))
 	// The chunk alone would push remaining to 4 (3+1); cap holds at B.
 	s.AdvanceTo(vtime.Time(vtime.MS(10)))
@@ -137,7 +137,7 @@ func TestSporadicCapsAtBudget(t *testing.T) {
 }
 
 func TestConsumePanicsBeyondRemaining(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Polling)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Polling)
 	defer func() {
 		if recover() == nil {
 			t.Error("over-consumption should panic")
@@ -146,24 +146,8 @@ func TestConsumePanicsBeyondRemaining(t *testing.T) {
 	s.Consume(0, vtime.MS(3))
 }
 
-func TestRemainingUtilization(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Deferrable)
-	if u := s.RemainingUtilization(0); u != 0.2 {
-		t.Errorf("u at t=0: %v, want 0.2", u)
-	}
-	s.Consume(0, vtime.MS(1))
-	// remaining 1ms, 5ms to deadline at t=5 → 0.2
-	if u := s.RemainingUtilization(vtime.Time(vtime.MS(5))); u != 0.2 {
-		t.Errorf("u at t=5: %v, want 0.2", u)
-	}
-	// At (or past) the deadline: zero.
-	if u := s.RemainingUtilization(vtime.Time(vtime.MS(10))); u != 0 {
-		t.Errorf("u at deadline: %v, want 0", u)
-	}
-}
-
 func TestReset(t *testing.T) {
-	s := MustNew(vtime.MS(2), vtime.MS(10), Sporadic)
+	s := mustNew(vtime.MS(2), vtime.MS(10), Sporadic)
 	s.Consume(0, vtime.MS(2))
 	s.AdvanceTo(vtime.Time(vtime.MS(25)))
 	s.Reset()
@@ -176,7 +160,7 @@ func TestBudgetConservationProperty(t *testing.T) {
 	// Property: total consumption over k periods never exceeds k·B for the
 	// periodic policies.
 	for _, pol := range []Policy{Polling, Deferrable} {
-		s := MustNew(vtime.MS(3), vtime.MS(10), pol)
+		s := mustNew(vtime.MS(3), vtime.MS(10), pol)
 		var consumed vtime.Duration
 		now := vtime.Time(0)
 		for step := 0; step < 1000; step++ {
@@ -191,4 +175,22 @@ func TestBudgetConservationProperty(t *testing.T) {
 			t.Errorf("%v: consumed %v over %d periods (budget 3ms)", pol, consumed, periods)
 		}
 	}
+}
+
+// mustNew is newServer but panics on a bad configuration.
+func mustNew(b, t vtime.Duration, policy Policy) *Server {
+	s, err := newServer(b, t, policy)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// newServer returns a zero Server initialized in place by Init.
+func newServer(b, t vtime.Duration, policy Policy) (*Server, error) {
+	s := new(Server)
+	if err := s.Init(b, t, policy); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

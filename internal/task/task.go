@@ -212,18 +212,9 @@ type Scheduler struct {
 	Shuffle func(n int) int
 }
 
-// NewScheduler builds a local scheduler over copies of tasks. Task priority
-// is the slice order (index 0 = highest). The tasks are validated.
-func NewScheduler(tasks []Task) (*Scheduler, error) {
-	s := new(Scheduler)
-	if err := s.Init(tasks); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init makes the zero Scheduler s the scheduler NewScheduler(tasks) would
-// return, in place. On error s is left unchanged.
+// Init makes the zero Scheduler s a local scheduler over copies of tasks, in
+// place. Task priority is the slice order (index 0 = highest). The tasks are
+// validated; on error s is left unchanged.
 func (s *Scheduler) Init(tasks []Task) error {
 	for i := range tasks {
 		if err := tasks[i].Validate(); err != nil {
@@ -375,18 +366,6 @@ func (s *Scheduler) ReadyAndNext() (ready bool, next vtime.Time) {
 		}
 	}
 	return s.ready > 0, next
-}
-
-// Backlog returns the total outstanding execution demand across all pending
-// jobs.
-func (s *Scheduler) Backlog() vtime.Duration {
-	var sum vtime.Duration
-	for i := range s.states {
-		for _, j := range s.states[i].queue() {
-			sum += j.Remaining
-		}
-	}
-	return sum
 }
 
 // Run consumes up to d of CPU time starting at instant start, executing

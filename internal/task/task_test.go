@@ -8,8 +8,8 @@ import (
 
 func mustScheduler(t *testing.T, tasks []Task) *Scheduler {
 	t.Helper()
-	s, err := NewScheduler(tasks)
-	if err != nil {
+	s := new(Scheduler)
+	if err := s.Init(tasks); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -106,7 +106,7 @@ func TestBacklogFIFOWithinTask(t *testing.T) {
 	s.ReleaseUpTo(vtime.Time(vtime.MS(25))) // releases jobs at 0, 10, 20
 	var responses []vtime.Duration
 	s.OnComplete = func(c Completion) { responses = append(responses, c.Response) }
-	if got := s.Backlog(); got != vtime.MS(24) {
+	if got := backlog(s); got != vtime.MS(24) {
 		t.Fatalf("backlog = %v, want 24ms", got)
 	}
 	s.Run(vtime.Time(vtime.MS(25)), vtime.MS(24))
@@ -188,8 +188,9 @@ func TestReset(t *testing.T) {
 }
 
 func TestSchedulerRejectsInvalidTask(t *testing.T) {
-	if _, err := NewScheduler([]Task{{Name: "bad", Period: -1, WCET: 1}}); err == nil {
-		t.Error("NewScheduler should reject invalid tasks")
+	var s Scheduler
+	if err := s.Init([]Task{{Name: "bad", Period: -1, WCET: 1}}); err == nil {
+		t.Error("Init should reject invalid tasks")
 	}
 }
 
@@ -238,4 +239,16 @@ func TestShuffleEmptyQueue(t *testing.T) {
 	if s.Current() != nil {
 		t.Error("empty backlog should return nil under shuffle")
 	}
+}
+
+// backlog returns the total outstanding execution demand across all pending
+// jobs.
+func backlog(s *Scheduler) vtime.Duration {
+	var sum vtime.Duration
+	for i := range s.states {
+		for _, j := range s.states[i].queue() {
+			sum += j.Remaining
+		}
+	}
+	return sum
 }

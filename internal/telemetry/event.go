@@ -176,26 +176,3 @@ func (r *Recorder) Len() int { return len(r.events) }
 
 // Reset discards all recorded events, keeping the backing capacity.
 func (r *Recorder) Reset() { r.events = r.events[:0] }
-
-// Filter is a sink decorator passing through only events whose kind is in
-// the set, for cheap subscriptions ("deadline misses only").
-type Filter struct {
-	Next  Sink
-	Kinds map[Kind]bool
-}
-
-// NewFilter builds a filter around next keeping only the given kinds.
-func NewFilter(next Sink, kinds ...Kind) *Filter {
-	set := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return &Filter{Next: next, Kinds: set}
-}
-
-// Event implements Sink.
-func (f *Filter) Event(e Event) {
-	if f.Kinds[e.Kind] {
-		f.Next.Event(e)
-	}
-}

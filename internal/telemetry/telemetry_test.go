@@ -29,7 +29,11 @@ func TestKindStrings(t *testing.T) {
 func TestRecorderMultiFilter(t *testing.T) {
 	rec := NewRecorder()
 	var misses int
-	watch := NewFilter(Func(func(Event) { misses++ }), KindDeadlineMiss)
+	watch := Func(func(e Event) {
+		if e.Kind == KindDeadlineMiss {
+			misses++
+		}
+	})
 	sink := Multi{rec, watch}
 
 	sink.Event(Event{Time: 1, Kind: KindTaskArrival, Partition: 0})

@@ -46,18 +46,6 @@ func (r *Recorder) Hook() func(engine.Segment) {
 	}
 }
 
-// BusyTimeOf returns the total recorded CPU time of partition index p
-// (-1 for idle).
-func (r *Recorder) BusyTimeOf(p int) vtime.Duration {
-	var sum vtime.Duration
-	for _, s := range r.Segments {
-		if s.Partition == p {
-			sum += s.End.Sub(s.Start)
-		}
-	}
-	return sum
-}
-
 // Gantt renders the recorded window as one text row per partition, one
 // column per cell of the given duration — the textual analogue of Fig. 6.
 // A cell is marked '#' when the partition ran for the majority of the cell.

@@ -38,17 +38,6 @@ func TestRecorderWindow(t *testing.T) {
 	}
 }
 
-func TestBusyTimeOf(t *testing.T) {
-	r := NewRecorder(0, 0)
-	hook := r.Hook()
-	hook(seg(0, 2, 0))
-	hook(seg(2, 5, 1))
-	hook(seg(5, 6, -1))
-	if r.BusyTimeOf(0) != vtime.MS(2) || r.BusyTimeOf(1) != vtime.MS(3) || r.BusyTimeOf(-1) != vtime.MS(1) {
-		t.Error("busy accounting wrong")
-	}
-}
-
 func TestGantt(t *testing.T) {
 	r := NewRecorder(0, 0)
 	hook := r.Hook()

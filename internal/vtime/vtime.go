@@ -47,9 +47,6 @@ func (t Time) Sub(o Time) Duration { return Duration(t - o) }
 // Before reports whether t is strictly earlier than o.
 func (t Time) Before(o Time) bool { return t < o }
 
-// After reports whether t is strictly later than o.
-func (t Time) After(o Time) bool { return t > o }
-
 // Min returns the earlier of t and o.
 func (t Time) Min(o Time) Time {
 	if t < o {

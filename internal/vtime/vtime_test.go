@@ -151,9 +151,6 @@ func TestBeforeAfter(t *testing.T) {
 	if !Time(1).Before(Time(2)) || Time(2).Before(Time(1)) {
 		t.Error("Before broken")
 	}
-	if !Time(2).After(Time(1)) || Time(1).After(Time(2)) {
-		t.Error("After broken")
-	}
 }
 
 func TestSecondsHelpers(t *testing.T) {

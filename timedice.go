@@ -10,9 +10,7 @@ import (
 	"timedice/internal/experiments"
 	"timedice/internal/ml"
 	"timedice/internal/model"
-	"timedice/internal/multicore"
 	"timedice/internal/policies"
-	"timedice/internal/pubsub"
 	"timedice/internal/rng"
 	"timedice/internal/sched"
 	"timedice/internal/server"
@@ -351,19 +349,6 @@ var (
 	UtilizationSweep = experiments.UtilizationSweep
 )
 
-// Overt inter-partition communication (§II): an auditable OS-layer
-// publish–subscribe service driven by job completions.
-type (
-	// Bus is the message broker.
-	Bus = pubsub.Bus
-	// BusMessage is one published datum; BusDelivery a received one.
-	BusMessage  = pubsub.Message
-	BusDelivery = pubsub.Delivery
-)
-
-// NewBus returns an empty overt-channel broker.
-var NewBus = pubsub.NewBus
-
 // Defender-side monitoring: flag covert senders from their per-period budget
 // consumption (policy-invariant — see internal/detect).
 type (
@@ -378,25 +363,6 @@ var (
 	NewConsumptionObserver = detect.NewConsumptionObserver
 	// BimodalityScore scores a consumption series in [0,1].
 	BimodalityScore = detect.BimodalityScore
-)
-
-// Multicore extension: partitioned multiprocessor scheduling.
-type (
-	// CoreAssignment maps partitions onto cores.
-	CoreAssignment = multicore.Assignment
-	// MulticoreSystem runs one hierarchical scheduler per core.
-	MulticoreSystem = multicore.System
-	// CrossCoreChannelConfig parameterizes the cross-core channel check.
-	CrossCoreChannelConfig = multicore.ChannelConfig
-)
-
-var (
-	// FirstFitDecreasing packs partitions onto cores by utilization.
-	FirstFitDecreasing = multicore.FirstFitDecreasing
-	// NewMulticore builds one engine per core from an assignment.
-	NewMulticore = multicore.New
-	// CrossCoreChannel measures the covert channel across a placement.
-	CrossCoreChannel = multicore.Channel
 )
 
 // Statistics helpers used by the harness outputs.
