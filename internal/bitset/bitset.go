@@ -57,6 +57,12 @@ func (b *Hier) Test(i int) bool {
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// Words returns level 0: bit i&63 of Words()[i>>6] is element i. It is for
+// in-order scans that test many consecutive elements, which can then read
+// each word once and index without a method call per element. The slice
+// aliases the set and must not be modified.
+func (b *Hier) Words() []uint64 { return b.words }
+
 // ForEachSet calls fn for every set element in ascending order, stopping
 // early when fn returns false. It visits only occupied groups: the walk reads
 // the summary words, descends into each non-empty group, and never touches an

@@ -40,13 +40,23 @@ package core
 //   - above = min_{j<h} off[j], upto = min_{j≤h} off[j] (the earliest tracked
 //     arrival without and with Π_h's own stream)
 //
-// where off[j] = supply_j − now is the stream anchor, constant per decision.
-// fold writes off[j] as the walk passes j, for the kernel's slow path; the
-// rest are scalars, so a walk that stops at partition h pays O(h), never
-// O(P). The prefix minimum makes the common test O(1): when the busy
-// interval's opening length w0 reaches no tracked stream's first arrival,
-// every interference term is zero and the run is settled before it starts
-// (see fixpoint).
+// where off[j] = supply_j − now is the stream anchor (anchor), constant per
+// decision. The walk writes off[j] as it passes j, for the kernel; the rest
+// are scalars, so a walk that stops at partition h pays O(h), never O(P).
+// The prefix minimum makes the common test O(1): when the busy interval's
+// opening length w0 reaches no tracked stream's first arrival, every
+// interference term is zero and the run is settled before it starts.
+//
+// Where the O(1) exits live: fixpoint is two halves. Its front, open, holds
+// the run's opening and both O(1) exits — the FAIL exit when w0 already
+// passes the deadline, and the settled run just described — and is small
+// enough that the compiler inlines it into the walk's inner loop. The
+// kernel, out of line, runs whatever open leaves unsettled; the walk calls
+// it from outside its inner loop, with the opening open computed, so the
+// loop that serves almost every test (dense-P1024 runs one iteration per
+// test) makes no call and spills nothing around one. fixpoint is open
+// then kernel, for tests and benchmarks: the walk and fixpoint compose the
+// same two halves, so there is one definition of a verdict.
 //
 // Otherwise the fixpoint runs the decision kernel (kernel.go): no hardware
 // division (interference counts come from the precomputed vtime.Reciprocal
@@ -77,10 +87,10 @@ import (
 // stateView is the per-decision verdict source (see the file comment). Under
 // bind the six arena slices and the ready bitset alias the engine's, never
 // copied, and off and narr are policy-owned kernel scratch reused across
-// decisions. Under bindSnapshot, ready, remaining, deadline and supply are the
-// view's own, rebuilt from the snapshot every decision. A view keeps one
-// binding for its whole life, so bindSnapshot never writes into engine
-// arenas.
+// decisions. Under bindSnapshot, ready, remaining, period, deadline and
+// supply are the view's own, rebuilt from the snapshot every decision. A
+// view keeps one binding for its whole life, so bindSnapshot never writes
+// into engine arenas.
 type stateView struct {
 	remaining []vtime.Duration
 	budget    []vtime.Duration
@@ -97,7 +107,8 @@ type stateView struct {
 	snap []PartitionState
 	ref  bool
 
-	// off[j] = supplyAt(j) − now, written by fold as the walk passes j.
+	// off[j] = anchor(supply[j], deadline[j], now), written by the walk as
+	// it passes j.
 	off []vtime.Duration
 
 	// Fixpoint scratch: narr[j] is stream j's next charged arrival during the
@@ -127,14 +138,15 @@ func (v *stateView) bind(hot engine.Hot) {
 
 // bindSnapshot binds the view to states taken at instant now: the reference
 // binding. The ready set comes from the snapshot's own Runnable flags and the
-// walk and the lottery read copies of its remaining budgets, deadlines and
-// supply anchors, so nothing is read from the engine's arenas or bitset;
-// verdicts run on schedFixpoint.
+// walk and the lottery read copies of its remaining budgets, periods,
+// deadlines and supply anchors, so nothing is read from the engine's arenas
+// or bitset; verdicts run on schedFixpoint.
 func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
 	n := len(states)
 	if v.ready == nil || v.ready.Len() != n {
 		v.ready = bitset.New(n)
 		v.remaining = make([]vtime.Duration, n)
+		v.period = make([]vtime.Duration, n)
 		v.deadline = make([]vtime.Time, n)
 		v.supply = make([]vtime.Time, n)
 		v.off = make([]vtime.Duration, n)
@@ -144,6 +156,7 @@ func (v *stateView) bindSnapshot(states []PartitionState, now vtime.Time) {
 	for i := range states {
 		s := &states[i]
 		v.remaining[i] = s.Remaining
+		v.period[i] = s.Period
 		v.deadline[i] = s.NextReplenish
 		v.supply[i] = s.NextSupply
 		if s.Runnable {
@@ -164,12 +177,11 @@ type prefix struct {
 // noPrefix is the fold of no partition: no demand and no tracked stream.
 var noPrefix = prefix{above: vtime.Forever, upto: vtime.Forever}
 
-// fold extends p, the fold through partition h−1, to partition h, writing
-// h's stream anchor off[h] on the way.
-func (v *stateView) fold(p prefix, h int) prefix {
-	o := v.supplyAt(h).Sub(v.now)
-	v.off[h] = o
-	return prefix{rem: p.rem + v.remaining[h], above: p.upto, upto: min(p.upto, o)}
+// fold extends p, the fold through partition h−1, by partition h: its
+// remaining budget rem and its stream anchor o (anchor). The walk writes o
+// to off[h] as it folds h, for the kernel.
+func (p prefix) fold(rem, o vtime.Duration) prefix {
+	return prefix{rem: p.rem + rem, above: p.upto, upto: min(p.upto, o)}
 }
 
 // refVerdict runs Algorithm 3 for partition h under an inversion of w on the
@@ -184,24 +196,45 @@ func (v *stateView) refVerdict(h int, w vtime.Duration) (ok bool, validFor vtime
 	return ok, validFor, cost
 }
 
-// supplyAt mirrors PartitionState.supplyTime: the earliest future budget gain,
+// anchor is a partition's stream anchor off[j] = supply − now, where supply
+// mirrors PartitionState.supplyTime: the earliest future budget gain,
 // defaulting to the replenishment deadline when the supply anchor is unset.
-func (v *stateView) supplyAt(j int) vtime.Time {
-	if v.supply[j] != 0 {
-		return v.supply[j]
+func anchor(supply, deadline, now vtime.Time) vtime.Duration {
+	if supply == 0 {
+		supply = deadline
 	}
-	return v.deadline[j]
+	return supply.Sub(now)
 }
 
 // fixpoint is schedFixpoint over the arena view — the Algorithm-3
 // busy-interval iteration for partition h under an inversion of w — run as the
-// incremental, divisionless decision kernel. p is the walk's fold through h
-// (fold), which has written off[0..h].
+// incremental, divisionless decision kernel. p is the walk's fold through h,
+// and off[0..h] hold the anchors it folded. It is the two halves the walk
+// runs: open, which settles most runs in O(1), then kernel for the rest.
+func (v *stateView) fixpoint(h int, w vtime.Duration, p prefix) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
+	ok, cur, deadline, minArr, iters, terms, settled := open(h, w+p.rem, p, v.remaining[h] > 0, v.deadline[h], v.period[h], v.now)
+	if settled {
+		return ok, cur, deadline, minArr, fixCost{iters, terms}
+	}
+	ok, cur, minArr, cost = v.kernel(cur, deadline, h, terms)
+	return ok, cur, deadline, minArr, cost
+}
+
+// open is the front of fixpoint for level h: the run's opening and its two
+// O(1) exits, which end almost every test. It takes the opening length w0,
+// the fold p through h, and Π_h's own values (active: B_h(t) > 0; its
+// deadline d and period) rather than the view: so it stays inside the
+// compiler's inlining budget (`go build -gcflags=-m ./internal/core` reports
+// "can inline open"), and the walk runs it with no call and no spilled loop
+// state.
 //
 // The tracked stream set is hp(Π_h), plus Π_h's own replenishment stream when
 // it is inactive (its indirect interference term) — exactly the streams
-// passHorizon charges. An inactive Π_h has no remaining budget, so the
-// opening length is w0 = w + p.rem either way.
+// passHorizon charges, m of them. An inactive Π_h has no remaining budget, so
+// the opening length is w0 = w + p.rem either way.
+//
+// FAIL exit: when w0 already passes the deadline, no iteration runs and
+// nothing is charged.
 //
 // Fast path: every term ⌈(cur−o)/T⌉₀ is zero while cur ≤ o, so when w0 is at
 // or below the earliest tracked arrival (p.above, or p.upto for an inactive
@@ -210,46 +243,52 @@ func (v *stateView) supplyAt(j int) vtime.Time {
 // converges there. Each stream's first arrival at or after w0 is its own
 // anchor o, so the minimum the kernel would record is that earliest anchor
 // itself. The fast path returns exactly that — verdict, cur, deadline,
-// minArr — in O(1), and charges the same one iteration and m terms
-// kernelInit would have (the m terms are settled in bulk by the prefix
-// minimum rather than evaluated one by one), so every counter and digest is
-// identical to the kernel's.
+// minArr — and charges the same one iteration and m terms kernelInit would
+// have (the m terms are settled in bulk by the prefix minimum rather than
+// evaluated one by one), so every counter and digest is identical to the
+// kernel's. While fixpointIterHook observes iterations, open leaves even
+// such a run to the kernel, which replays that one iteration (sum 0) and
+// reports it to the hook: calling the hook here would cost open its
+// inlining.
 //
-// Otherwise kernelInit opens the run at cur = w0 with one divisionless sweep,
+// settled is false when the run needs the kernel; cur is then w0 and terms
+// the tracked stream count m, the kernel's inputs.
+func open(h int, w0 vtime.Duration, p prefix, active bool, d vtime.Time, period vtime.Duration, now vtime.Time) (ok bool, cur, deadline, minArr vtime.Duration, iters, terms int64, settled bool) {
+	cur, minArr, terms = w0, p.above, int64(h)
+	if !active {
+		terms, d = terms+1, d.Add(period)
+		if !fastPathDropsOwnStream {
+			minArr = p.upto
+		}
+	}
+	deadline = d.Sub(now)
+	if settled = cur > deadline; settled {
+		cur, terms = 0, 0
+		return
+	}
+	if cur <= minArr && fixpointIterHook == nil {
+		ok, settled, iters = true, true, 1
+	}
+	return
+}
+
+// kernel runs the busy-interval iteration of a run open left unsettled,
+// from its opening length w0, relative deadline and m tracked streams.
+//
+// kernelInit opens the run at cur = w0 with one divisionless sweep,
 // leaving narr[j] = the first arrival of stream j at or after cur. Each
 // subsequent iteration exploits that cur only grows: streams whose recorded
 // arrival is still at or beyond the new cur contribute no new
 // replenishments, so their count, sum share, and arrival carry over
-// untouched, and the rescan (guarded by the running minimum arrival) advances only the
-// crossed ones. The running sum therefore always equals the reference's
-// from-scratch Σ ⌈(cur−o)/T⌉₀·B — in exact integers, hence bit-for-bit in
-// int64 — and the iteration sequence (and so the verdict and converged cur)
-// replays the reference exactly. At convergence narr holds precisely the
-// arrivals passHorizon recomputes; their minimum is returned in minArr for
-// horizonOf.
-func (v *stateView) fixpoint(h int, w vtime.Duration, p prefix) (ok bool, cur, deadline, minArr vtime.Duration, cost fixCost) {
-	w0 := w + p.rem
-	m, earliest := h, p.above // tracked streams and their earliest anchor
-	if v.remaining[h] > 0 {
-		deadline = v.deadline[h].Sub(v.now)
-	} else {
-		deadline = v.deadline[h].Add(v.period[h]).Sub(v.now)
-		m = h + 1
-		if !fastPathDropsOwnStream {
-			earliest = p.upto
-		}
-	}
-	if w0 > deadline {
-		return false, 0, deadline, 0, cost
-	}
-	cost.terms = int64(m)
-	if w0 <= earliest {
-		cost.iters = 1
-		if fixpointIterHook != nil {
-			fixpointIterHook(h, w0, 0)
-		}
-		return true, w0, deadline, earliest, cost
-	}
+// untouched, and the rescan (guarded by the running minimum arrival)
+// advances only the crossed ones. The running sum therefore always equals
+// the reference's from-scratch Σ ⌈(cur−o)/T⌉₀·B — in exact integers, hence
+// bit-for-bit in int64 — and the iteration sequence (and so the verdict and
+// converged cur) replays the reference exactly. At convergence narr holds
+// precisely the arrivals passHorizon recomputes; their minimum is returned
+// in minArr for horizonOf.
+func (v *stateView) kernel(w0, deadline vtime.Duration, h int, m int64) (ok bool, cur, minArr vtime.Duration, cost fixCost) {
+	cost.terms = m
 	off := v.off[:m]
 	per := v.period[:m]
 	bud := v.budget[:m]
@@ -264,10 +303,10 @@ func (v *stateView) fixpoint(h int, w vtime.Duration, p prefix) (ok bool, cur, d
 		}
 		next := w0 + sum
 		if next > deadline {
-			return false, cur, deadline, 0, cost
+			return false, cur, 0, cost
 		}
 		if next == cur {
-			return true, cur, deadline, minArr, cost
+			return true, cur, minArr, cost
 		}
 		cur = next
 		if cur > minArr {

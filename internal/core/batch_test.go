@@ -84,13 +84,21 @@ func randomStates(r *rng.Rand, n int, now vtime.Time) []PartitionState {
 	return states
 }
 
-// foldThrough runs the walk's prefix fold (stateView.fold) over partitions
+// foldAt is the walk's step at partition h: it writes h's stream anchor to
+// off[h] and extends p, the fold through h−1, by h.
+func foldAt(v *stateView, p prefix, h int) prefix {
+	o := anchor(v.supply[h], v.deadline[h], v.now)
+	v.off[h] = o
+	return p.fold(v.remaining[h], o)
+}
+
+// foldThrough runs the walk's prefix fold (foldAt) over partitions
 // 0..h, writing their stream anchors, and returns the fold a level-h test
 // reads.
 func foldThrough(v *stateView, h int) prefix {
 	p := noPrefix
 	for j := 0; j <= h; j++ {
-		p = v.fold(p, j)
+		p = foldAt(v, p, j)
 	}
 	return p
 }
@@ -115,22 +123,24 @@ func fixpointBranch(v *stateView, h int, w vtime.Duration, p prefix) (ok bool, c
 }
 
 // TestViewMatchesAoS is the differential pin for the batched path: on random
-// snapshots, the view fixpoint (the divisionless incremental kernel), the
-// full candidate search (cached and uncached), and the lottery selection must
-// reproduce the AoS reference bit-for-bit — same verdicts, same candidates,
-// same test and iteration counts, same random draws. A fixpointIterHook
-// additionally re-sums the interference from scratch with plain division at
-// every kernel iteration and requires the incrementally maintained sum to
-// match exactly. The trials must reach both the fast path and the kernel.
+// snapshots, the view fixpoint (the inlined front open, then the
+// divisionless incremental kernel), the full candidate search (cached and
+// uncached), and the lottery selection must reproduce the AoS reference
+// bit-for-bit — same verdicts, same candidates, same test and iteration
+// counts, same random draws. Each level runs twice: as in production, where
+// open settles what it can, and under a fixpointIterHook that re-sums the
+// interference from scratch with plain division at every kernel iteration
+// and requires the incrementally maintained sum to match exactly. Under the
+// hook open leaves every run to the kernel, so a run the front settled must
+// replay identically there. The searches, too, run with and without the
+// hook. The trials must reach both the fast path and the kernel.
 func TestViewMatchesAoS(t *testing.T) {
 	r := rng.New(0xd1ce)
 	now := vtime.Time(17 * vtime.Millisecond)
 	w := DefaultQuantum
 
-	// The hook sees every kernel iteration of the trial's fixpoints,
-	// including those run inside the searches below.
 	var hookStates []PartitionState
-	fixpointIterHook = func(h int, cur, sum vtime.Duration) {
+	resum := func(h int, cur, sum vtime.Duration) {
 		m := h
 		if !hookStates[h].Active {
 			m = h + 1
@@ -156,7 +166,7 @@ func TestViewMatchesAoS(t *testing.T) {
 		// Per-partition fixpoint verdicts, each under the walk's fold.
 		p := noPrefix
 		for h := 0; h < n; h++ {
-			p = v.fold(p, h)
+			p = foldAt(v, p, h)
 			aok, acur, adl, acost := schedFixpoint(states, h, now, w)
 			vok, vcur, vdl, vmin, vcost, fast := fixpointBranch(v, h, w, p)
 			switch {
@@ -184,29 +194,41 @@ func TestViewMatchesAoS(t *testing.T) {
 					t.Fatalf("trial %d h=%d: passHorizon %v vs view %v", trial, h, ah, vh)
 				}
 			}
+			fixpointIterHook = resum
+			hok, hcur, hdl, hmin, hcost := v.fixpoint(h, w, p)
+			fixpointIterHook = nil
+			if hok != vok || hcur != vcur || hdl != vdl || hcost != vcost || (vok && hmin != vmin) {
+				t.Fatalf("trial %d h=%d: observed run (%v,%v,%v,%v,%+v) vs unobserved (%v,%v,%v,%v,%+v)",
+					trial, h, hok, hcur, hdl, hmin, hcost, vok, vcur, vdl, vmin, vcost)
+			}
 		}
 
-		// Uncached search.
 		ref := refView(states, now)
-		ares := search(ref, w, nil, nil)
-		vres := search(v, w, nil, nil)
-		compareSearch(t, trial, "uncached", ares, vres)
-
-		// Cached search: two fresh caches fed identical stamps must behave
-		// identically (verdicts, hit/miss counts, searchValid).
 		stamps := make([]uint64, n)
 		for i := range stamps {
 			stamps[i] = uint64(r.Intn(5))
 		}
-		ac, vc := &Cache{}, &Cache{}
-		ac.begin(stamps)
-		vc.begin(stamps)
-		ares = search(ref, w, nil, ac)
-		vres = search(v, w, nil, vc)
-		compareSearch(t, trial, "cached", ares, vres)
-		if ac.Hits() != vc.Hits() || ac.Misses() != vc.Misses() || ac.searchValid != vc.searchValid {
-			t.Fatalf("trial %d: cache divergence: AoS %d/%d valid %v, view %d/%d valid %v",
-				trial, ac.Hits(), ac.Misses(), ac.searchValid, vc.Hits(), vc.Misses(), vc.searchValid)
+		var ares SearchResult
+		for _, hook := range []func(int, vtime.Duration, vtime.Duration){nil, resum} {
+			fixpointIterHook = hook
+			// Uncached search.
+			ares = search(ref, w, nil, nil)
+			vres := search(v, w, nil, nil)
+			compareSearch(t, trial, "uncached", ares, vres)
+
+			// Cached search: two fresh caches fed identical stamps must
+			// behave identically (verdicts, hit/miss counts, searchValid).
+			ac, vc := &Cache{}, &Cache{}
+			ac.begin(stamps)
+			vc.begin(stamps)
+			ares = search(ref, w, nil, ac)
+			vres = search(v, w, nil, vc)
+			compareSearch(t, trial, "cached", ares, vres)
+			if ac.Hits() != vc.Hits() || ac.Misses() != vc.Misses() || ac.searchValid != vc.searchValid {
+				t.Fatalf("trial %d: cache divergence: AoS %d/%d valid %v, view %d/%d valid %v",
+					trial, ac.Hits(), ac.Misses(), ac.searchValid, vc.Hits(), vc.Misses(), vc.searchValid)
+			}
+			fixpointIterHook = nil
 		}
 
 		// Selection: identical seeds must yield identical choices in both
@@ -214,7 +236,7 @@ func TestViewMatchesAoS(t *testing.T) {
 		if len(ares.Candidates) > 0 || ares.IdleOK {
 			for _, mode := range []SelectionMode{SelectWeighted, SelectUniform} {
 				seed := uint64(trial)*2 + uint64(mode)
-				got := lottery(v, vres, mode, rng.New(seed), nil)
+				got := lottery(v, ares, mode, rng.New(seed), nil)
 				want := Select(states, ares, now, mode, rng.New(seed), nil)
 				if got != want {
 					t.Fatalf("trial %d mode %v: view lottery = %d, Select = %d", trial, mode, got, want)

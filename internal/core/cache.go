@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"timedice/internal/vtime"
 )
 
@@ -55,12 +57,49 @@ import (
 // the binding that computed a verdict, so TestViewMatchesAoS can require two
 // caches fed the same stamps to make the same hits and misses under either
 // binding.
+//
+// Layout. The walk reads one entry per partition it passes, so an entry is
+// 16 bytes, four to a cache line: the prefix stamp with the verdict packed
+// into its bit 63 (verdictPass), and the validity horizon. Bit 63 is free
+// because the engine's stamps are values of its epoch counter, which starts
+// at 0 and grows by one per discontinuous event: reaching 2^63 takes 2^63
+// events (292 years at a billion events per second), and System.Restore
+// rejects a snapshot whose epoch is that large. The verdict is not encoded
+// in the horizon instead (say, PASS as any finite validUntil): a PASS
+// horizon is now.Add(validFor), and that addition wraps at extreme virtual
+// times rather than saturating, so a PASS could land on Infinity, the FAIL
+// horizon. The walk inlines the lookup and the store, keeps its test count
+// and the search's validity bound in locals, and writes the hits, misses
+// and bound back once per search.
 
 // verdictEntry is one memoized Algorithm-3 outcome.
 type verdictEntry struct {
-	stamp      uint64     // prefix stamp the verdict was computed under
+	// stamp is the prefix stamp the verdict was computed under, with
+	// verdictPass set for a PASS.
+	stamp      uint64
 	validUntil vtime.Time // last instant (inclusive) the verdict is reusable
-	ok         bool
+}
+
+// verdictPass is the bit of verdictEntry.stamp that marks a PASS verdict;
+// the engine's stamps stay below it (see Layout above).
+const verdictPass = 1 << 63
+
+// packEntry memoizes a verdict computed under prefix stamp stamp.
+func packEntry(stamp uint64, ok bool, validUntil vtime.Time) verdictEntry {
+	if ok {
+		stamp |= verdictPass
+	}
+	return verdictEntry{stamp: stamp, validUntil: validUntil}
+}
+
+// lookup reports whether e serves a walk at prefix stamp stamp and instant
+// now — it was computed under that stamp or a later one and is still valid
+// at now — and the verdict it holds. cacheIgnoresInvalidation is the
+// timedice_mutation hook: normal builds compile it to false and the branch
+// folds away.
+func (e *verdictEntry) lookup(stamp uint64, now vtime.Time) (ok, hit bool) {
+	hit = (cacheIgnoresInvalidation || e.stamp&^verdictPass >= stamp) && now <= e.validUntil
+	return e.stamp&verdictPass != 0, hit
 }
 
 // Cache memoizes per-partition schedulability verdicts across decision
@@ -71,11 +110,11 @@ type Cache struct {
 	stamps  []uint64 // the engine's per-partition stamps for the current decision
 	hits    int64
 	misses  int64
-	// searchValid accumulates, across one candidate search, the minimum
-	// validUntil of every verdict the search consulted. Until that instant —
-	// and as long as no partition is stamped — the whole search outcome
-	// (candidate list and idle eligibility) is reproducible, which Pick
-	// exploits to skip the search entirely.
+	// searchValid is, after one candidate search, the minimum validUntil of
+	// every verdict the search consulted. Until that instant — and as long
+	// as no partition is stamped — the whole search outcome (candidate list
+	// and idle eligibility) is reproducible, which Pick exploits to skip the
+	// search entirely.
 	searchValid vtime.Time
 }
 
@@ -94,25 +133,16 @@ func (c *Cache) begin(stamps []uint64) {
 	c.searchValid = vtime.Infinity
 }
 
-// lookup returns the cached verdict for partition h if it was computed under
-// stamp, the maximum of the stamps of partitions 0..h, and is still valid at
-// instant now. cacheIgnoresInvalidation is the timedice_mutation hook: normal
-// builds compile it to false and the branch folds away.
-func (c *Cache) lookup(h int, stamp uint64, now vtime.Time) (ok, hit bool) {
-	e := &c.entries[h]
-	if (cacheIgnoresInvalidation || e.stamp >= stamp) && now <= e.validUntil {
-		c.hits++
-		c.searchValid = min(c.searchValid, e.validUntil)
-		return e.ok, true
+// uncached returns a cache for a walk over n partitions that must compute
+// every verdict: each entry expired before the earliest virtual time, so
+// every lookup misses, at any instant and under any stamps (the
+// cacheIgnoresInvalidation mutant included).
+func uncached(n int) *Cache {
+	c := &Cache{entries: make([]verdictEntry, n), stamps: make([]uint64, n), searchValid: vtime.Infinity}
+	for i := range c.entries {
+		c.entries[i].validUntil = math.MinInt64
 	}
-	c.misses++
-	return false, false
-}
-
-// store memoizes a freshly computed verdict for partition h under stamp.
-func (c *Cache) store(h int, stamp uint64, ok bool, validUntil vtime.Time) {
-	c.entries[h] = verdictEntry{stamp: stamp, validUntil: validUntil, ok: ok}
-	c.searchValid = min(c.searchValid, validUntil)
+	return c
 }
 
 // Hits returns the number of decision-level test invocations served from the

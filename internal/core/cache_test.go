@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"timedice/internal/engine"
 	"timedice/internal/rng"
@@ -109,7 +110,7 @@ func TestCacheFailForever(t *testing.T) {
 
 	var c Cache
 	stamps := []uint64{1, 1}
-	if res := walk(states, 1, now, &c, stamps); res.IdleOK || c.entries[1].ok {
+	if res := walk(states, 1, now, &c, stamps); res.IdleOK || c.entries[1].stamp&verdictPass != 0 {
 		t.Fatal("verdict unexpectedly passed; fixture needs a tighter deadline")
 	}
 	if got := c.entries[1].validUntil; got != vtime.Infinity {
@@ -194,5 +195,42 @@ func TestPolicyStatsCacheMisses(t *testing.T) {
 	}
 	if st.CacheHits+st.CacheMisses == 0 {
 		t.Fatal("no lookups recorded")
+	}
+}
+
+// TestVerdictEntryPacked pins the 16-byte entry and its packing: the
+// verdict lives in bit 63 of the stamp, and a store then lookup returns the
+// verdict and the stamp it went in with, at stamps up to 2^62 and at every
+// kind of horizon (already past, finite, and a FAIL's Infinity). An entry
+// serves a lookup under its own stamp or an older one while now is at or
+// before its horizon, and misses under a newer stamp or past the horizon.
+func TestVerdictEntryPacked(t *testing.T) {
+	if got := unsafe.Sizeof(verdictEntry{}); got != 16 {
+		t.Fatalf("verdictEntry is %d bytes, want 16", got)
+	}
+	for _, stamp := range []uint64{0, 1, 1 << 62} {
+		for _, until := range []vtime.Time{-1, vtime.Time(5 * vtime.Millisecond), vtime.Infinity} {
+			for _, ok := range []bool{true, false} {
+				e := packEntry(stamp, ok, until)
+				if got := e.stamp &^ verdictPass; got != stamp {
+					t.Fatalf("stamp %d ok %v: stored stamp reads back %d", stamp, ok, got)
+				}
+				if until >= 0 {
+					for _, at := range []uint64{0, stamp} {
+						if gotOK, hit := e.lookup(at, until); !hit || gotOK != ok {
+							t.Errorf("stamp %d ok %v until %v: lookup under %d at the horizon = (%v, hit %v), want (%v, hit)", stamp, ok, until, at, gotOK, hit, ok)
+						}
+					}
+				}
+				if _, hit := e.lookup(stamp+1, min(until, 0)); hit {
+					t.Errorf("stamp %d ok %v until %v: served under a newer stamp", stamp, ok, until)
+				}
+				if until < vtime.Infinity {
+					if _, hit := e.lookup(stamp, until+1); hit {
+						t.Errorf("stamp %d ok %v until %v: served past its horizon", stamp, ok, until)
+					}
+				}
+			}
+		}
 	}
 }

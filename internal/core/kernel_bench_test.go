@@ -96,7 +96,7 @@ func BenchmarkDecisionKernel(b *testing.B) {
 			folds := make([]prefix, n)
 			p := noPrefix
 			for h := range folds {
-				p = v.fold(p, h)
+				p = foldAt(v, p, h)
 				folds[h] = p
 			}
 			b.ReportAllocs()
@@ -135,7 +135,7 @@ func TestDecisionKernelBenchFixture(t *testing.T) {
 	v := viewFromStates(states, now)
 	p := noPrefix
 	for h := range states {
-		p = v.fold(p, h)
+		p = foldAt(v, p, h)
 		if ok, _, _, _, _, fast := fixpointBranch(v, h, DefaultQuantum, p); !ok || !fast {
 			t.Fatalf("fastpath fixture at h=%d: pass %v, fast path %v; want both", h, ok, fast)
 		}

@@ -6,7 +6,7 @@ package core
 // cache: normal builds honour the per-partition state stamps, so any
 // discontinuous change (release, completion, depletion, replenishment,
 // sporadic chunk) recomputes the affected verdicts. Building with
-// -tags timedice_mutation makes lookup skip the stamp comparison (see
+// -tags timedice_mutation makes the entry lookup skip the stamp comparison (see
 // mutation_on.go), an injected staleness bug that the differential against
 // the uncached reference policy must detect end-to-end.
 const cacheIgnoresInvalidation = false

@@ -2,8 +2,9 @@
 
 package core
 
-// cacheIgnoresInvalidation under the timedice_mutation tag: Cache.lookup
-// serves memoized verdicts without checking the per-partition state stamps,
+// cacheIgnoresInvalidation under the timedice_mutation tag: the walk's entry
+// lookup (verdictEntry.lookup) serves memoized verdicts without checking the
+// per-partition state stamps,
 // so epoch-bumping events (releases, completions, depletions,
 // replenishments, sporadic chunks) no longer invalidate entries and stale
 // verdicts — including FAIL verdicts memoized with an unbounded horizon —
@@ -12,8 +13,9 @@ package core
 // TestCacheMutationCaught asserts it does.
 var cacheIgnoresInvalidation = true
 
-// fastPathDropsOwnStream under the timedice_mutation tag: the fixpoint fast
-// path reads the fold's minimum above h (p.above) for an inactive partition,
+// fastPathDropsOwnStream under the timedice_mutation tag: the fast path of
+// fixpoint's front (open, the one the walk inlines) reads the fold's minimum
+// above h (p.above) for an inactive partition,
 // ignoring its own replenishment stream, so a run whose own stream arrives
 // inside the opening busy interval is wrongly settled with a zero sum.
 // TestFastPathMutationCaught asserts that TestFixpointFastPath's fixtures

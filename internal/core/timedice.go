@@ -137,8 +137,9 @@ func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 }
 
 // search is the candidate walk of CandidateSearch over either binding of a
-// stateView (batch.go), with an optional verdict cache (cache.go): Policy
-// always passes its cache, CandidateSearch passes nil.
+// stateView (batch.go), with a verdict cache (cache.go): Policy always
+// passes its cache; CandidateSearch passes nil, and the walk then runs on a
+// cache of its own that holds no verdict.
 //
 // The walk tests every partition from the first runnable one down, once and
 // in priority order, and stops at the first failure: a failure for Π_h
@@ -149,70 +150,122 @@ func CandidateSearch(states []PartitionState, now vtime.Time, w vtime.Duration, 
 // folds, from partition 0, the kernel's prefix terms and the stamp maximum
 // that cached verdicts are checked against. res.Tests counts Algorithm-3
 // computations, never cache hits.
+//
+// The walk is the decision's hot loop, so its inner loop makes no call: it
+// folds, admits candidates, serves cache hits and settles verdicts through
+// open, the inlined front of fixpoint. It leaves only for a verdict that
+// needs a call — the kernel, or the reference binding's plain-division
+// run — which the outer loop computes before resuming; so the common path
+// spills no loop value around a call. The per-partition slices are cut to
+// length n once (no bounds checks), the ready set is read a word at a time,
+// and the hit count and validity bound reach the cache once, after the
+// walk.
 func search(v *stateView, w vtime.Duration, scratch []int, c *Cache) SearchResult {
-	res := SearchResult{Candidates: scratch[:0]}
 	first := v.ready.NextSet(0)
 	if first < 0 {
 		// With nothing runnable the CPU idles without a lottery.
-		return res
+		return SearchResult{Candidates: scratch[:0]}
 	}
 	n := v.ready.Len()
-	if cap(res.Candidates) < n {
-		res.Candidates = make([]int, 0, n)
+	if cap(scratch) < n {
+		scratch = make([]int, n)
 	}
-	cand, k := res.Candidates[:n], 0
+	if c == nil {
+		c = uncached(n)
+	}
+	cand, k := scratch[:n], 0
+	now := v.now
+	rem, dl, sup, per, off := v.remaining[:n], v.deadline[:n], v.supply[:n], v.period[:n], v.off[:n]
+	entries, stamps := c.entries[:n], c.stamps[:n]
+	ready := v.ready.Words()
+	valid := vtime.Infinity // the minimum validUntil the walk consulted
 	p := noPrefix
 	var stamp uint64 // max of the stamps of partitions 0..h
+	var tests, iters, terms int64
 	h := 0
-	for ; h < n; h++ {
-		p = v.fold(p, h)
-		if c != nil {
-			stamp = max(stamp, c.stamps[h])
-		}
-		if h < first {
-			continue
-		}
-		cand[k] = h
-		if v.ready.Test(h) {
-			k++
-		}
-		if c != nil {
-			if ok, hit := c.lookup(h, stamp, v.now); hit {
+walk:
+	for h < n {
+		// The opening of a run the inner loop leaves to the kernel.
+		var w0, deadline vtime.Duration
+		var m int64
+		for ; h < n; h++ {
+			o := anchor(sup[h], dl[h], now)
+			off[h] = o
+			p = p.fold(rem[h], o)
+			stamp = max(stamp, stamps[h])
+			if h < first {
+				continue
+			}
+			cand[k] = h
+			k += int(ready[h>>6] >> (h & 63) & 1)
+			e := &entries[h]
+			if ok, hit := e.lookup(stamp, now); hit {
+				valid = min(valid, e.validUntil)
 				if !ok {
-					break
+					break walk
 				}
 				continue
 			}
+			tests++
+			if v.ref {
+				break
+			}
+			ok, cur, dRel, minArr, runIters, runTerms, settled := open(h, w+p.rem, p, rem[h] > 0, dl[h], per[h], now)
+			if !settled {
+				w0, deadline, m = cur, dRel, runTerms
+				break
+			}
+			iters += runIters
+			terms += runTerms
+			u := until(ok, horizonOf(cur, dRel, minArr), now)
+			*e = packEntry(stamp, ok, u)
+			valid = min(valid, u)
+			if !ok {
+				break walk
+			}
 		}
-		res.Tests++
+		if h == n {
+			break
+		}
+		// Partition h needs a verdict that makes a call: the kernel, or the
+		// reference's. The tail repeats the inner loop's so that the call
+		// stays out of that loop.
 		var ok bool
 		var validFor vtime.Duration
 		var cost fixCost
 		if v.ref {
 			ok, validFor, cost = v.refVerdict(h, w)
 		} else {
-			var cur, deadline, minArr vtime.Duration
-			ok, cur, deadline, minArr, cost = v.fixpoint(h, w, p)
-			if ok {
-				validFor = horizonOf(cur, deadline, minArr)
-			}
+			var cur, minArr vtime.Duration
+			ok, cur, minArr, cost = v.kernel(w0, deadline, h, m)
+			validFor = horizonOf(cur, deadline, minArr)
 		}
-		res.FixpointIters += cost.iters
-		res.InterferenceTerms += cost.terms
-		if c != nil {
-			validUntil := vtime.Infinity // FAIL holds for the rest of the epoch
-			if ok {
-				validUntil = v.now.Add(validFor)
-			}
-			c.store(h, stamp, ok, validUntil)
-		}
+		iters += cost.iters
+		terms += cost.terms
+		u := until(ok, validFor, now)
+		entries[h] = packEntry(stamp, ok, u)
+		valid = min(valid, u)
 		if !ok {
 			break
 		}
+		h++
 	}
+	// Every partition from first to the one the walk stopped at was looked
+	// up once; the lookups that missed are the tests.
+	c.hits += int64(min(h+1, n)-first) - tests
+	c.misses += tests
+	c.searchValid = valid
 	// Idling is a candidate iff the walk passed every partition.
-	res.Candidates, res.IdleOK = cand[:k], h == n
-	return res
+	return SearchResult{Candidates: cand[:k], IdleOK: h == n, Tests: tests, FixpointIters: iters, InterferenceTerms: terms}
+}
+
+// until is the last instant a fresh verdict stays reusable: a FAIL for the
+// rest of the epoch, a PASS for validFor past now.
+func until(ok bool, validFor vtime.Duration, now vtime.Time) vtime.Time {
+	if !ok {
+		return vtime.Infinity
+	}
+	return now.Add(validFor)
 }
 
 // SelectionMode chooses the Step-2 randomization of Algorithm 1.
@@ -253,7 +306,13 @@ func Select(states []PartitionState, res SearchResult, now vtime.Time, mode Sele
 	return lottery(&ref, res, mode, rnd, weights)
 }
 
-// lottery is Select over either binding of a stateView.
+// lottery is Select over either binding of a stateView. A weighted draw
+// computes each candidate's u_{i,t} and stores, in weights, not the weights
+// but their running sums, then bisects those for the draw
+// (rng.CumulativeIndex). Every u is ≥ 0 and the idle weight is clamped at 0,
+// so the sums are added in the same order as a linear draw over the weights
+// would add them: the same total, the same index and the same one RNG draw,
+// with one pass over the candidates instead of three.
 func lottery(v *stateView, res SearchResult, mode SelectionMode, rnd *rng.Rand, weights []float64) int {
 	n := len(res.Candidates)
 	options := n
@@ -271,25 +330,25 @@ func lottery(v *stateView, res SearchResult, mode SelectionMode, rnd *rng.Rand, 
 		return res.Candidates[k]
 	}
 	// Weighted: u_{i,t} = B_i(t)/(d_{i,t}-t); idle gets 1-Σu (clamped).
-	weights = weights[:0]
+	if cap(weights) < options {
+		weights = make([]float64, options)
+	}
+	cum := weights[:options]
 	var sum float64
-	for _, i := range res.Candidates {
-		den := v.deadline[i].Sub(v.now)
-		var u float64
-		if den > 0 {
-			u = float64(v.remaining[i]) / float64(den)
+	for k, i := range res.Candidates {
+		if den := v.deadline[i].Sub(v.now); den > 0 {
+			sum += float64(v.remaining[i]) / float64(den)
 		}
-		weights = append(weights, u)
-		sum += u
+		cum[k] = sum
 	}
 	if res.IdleOK {
 		idleW := 1 - sum
 		if idleW < 0 {
 			idleW = 0
 		}
-		weights = append(weights, idleW)
+		cum[n] = sum + idleW
 	}
-	k := rnd.WeightedIndex(weights)
+	k := rnd.CumulativeIndex(cum)
 	if k == n {
 		return IdleChoice
 	}
@@ -506,9 +565,9 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 	if len(res.Candidates) == 0 {
 		return nil
 	}
-	// lottery trims weights to length zero and appends at most one entry per
-	// candidate plus the idle option; holding capacity for that here keeps
-	// the whole decision allocation-free.
+	// lottery writes one running sum per candidate plus the idle option into
+	// weights; holding capacity for that here keeps the whole decision
+	// allocation-free.
 	if cap(p.weights) < n+1 {
 		p.weights = make([]float64, 0, n+1)
 	}

@@ -329,6 +329,12 @@ func (s *System) decodeSnapshot(data []byte) (*snapState, error) {
 		return nil, fmt.Errorf("engine: snapshot running index %d out of range", running)
 	}
 	st.running = int(running)
+	// The verdict cache packs a verdict into bit 63 of a stamp (core's
+	// cache.go), so an epoch stays below 2^63; counting up from zero, one
+	// per event, it could not reach it.
+	if st.epoch >= 1<<63 {
+		return nil, fmt.Errorf("engine: snapshot epoch %d out of range", st.epoch)
+	}
 	for _, row := range CounterRows {
 		if v := *row.Field(&st.counters); v < 0 {
 			return nil, fmt.Errorf("engine: snapshot counter %s is negative (%d)", row.Name, v)

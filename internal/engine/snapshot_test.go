@@ -8,10 +8,12 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"timedice/internal/check"
@@ -201,6 +203,35 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 	if err := sys.Restore(bytes.NewReader(want)); err != nil {
 		t.Fatalf("golden snapshot does not restore: %v", err)
+	}
+}
+
+// TestSnapshotRejectsEpochPastBit63 pins the epoch bound the verdict cache
+// relies on: a snapshot whose epoch reaches 2^63 is refused, one just below
+// it is not refused for its epoch.
+func TestSnapshotRejectsEpochPastBit63(t *testing.T) {
+	valid := goldenSnapshotBytes(t)
+	sc := goldenScenario()
+	sys, err := gen.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The epoch follows the magic, version, fingerprint, partition count,
+	// clock and running index: six 8-byte words.
+	const epochAt = 6 * 8
+	if got := binary.LittleEndian.Uint64(valid[epochAt:]); got == 0 || got >= 1<<32 {
+		t.Fatalf("word at byte %d reads %d; the golden snapshot's epoch should be small and non-zero", epochAt, got)
+	}
+	for _, tc := range []struct {
+		epoch uint64
+		ok    bool
+	}{{1<<63 - 1, true}, {1 << 63, false}, {^uint64(0), false}} {
+		b := bytes.Clone(valid)
+		binary.LittleEndian.PutUint64(b[epochAt:], tc.epoch)
+		err := sys.Restore(bytes.NewReader(b))
+		if refused := err != nil && strings.Contains(err.Error(), "epoch"); refused == tc.ok {
+			t.Errorf("epoch %d: Restore error %v; want refused for its epoch = %v", tc.epoch, err, !tc.ok)
+		}
 	}
 }
 

@@ -74,10 +74,11 @@ func TestMutantsOffNoDivergence(t *testing.T) {
 }
 
 // TestCacheMutationCaught proves the reference differential has teeth
-// against the cache-invalidation mutant: with it alone on,
-// core.Cache.lookup ignores the per-partition state stamps and serves stale
-// verdicts across releases, completions, depletions and replenishments. The
-// reference policy has no cache to poison, so at least one scenario must
+// against the cache-invalidation mutant: with it alone on, the verdict
+// cache's entry lookup ignores the per-partition state stamps and serves
+// stale verdicts across releases, completions, depletions and
+// replenishments. The reference policy's throwaway cache holds no verdict
+// to poison, so at least one scenario must
 // diverge. If none does, the invalidation machinery is dead weight — or the
 // mutant stopped compiling to a behaviour change — and this test fails.
 func TestCacheMutationCaught(t *testing.T) {

@@ -110,41 +110,57 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// WeightedIndex returns an index in [0, len(w)) chosen with probability
-// proportional to w[i]. Non-positive weights are treated as zero. If all
-// weights are zero it falls back to a uniform choice. It panics on an empty
-// slice.
-func (r *Rand) WeightedIndex(w []float64) int {
-	if len(w) == 0 {
-		panic("rng: WeightedIndex with empty weights")
+// CumulativeIndex draws an index in [0, len(cum)) from the running sums of
+// a non-negative weight vector, cum[i] = w[0] + … + w[i], each partial sum
+// formed by adding w[i] to cum[i−1] in order: index i is chosen with
+// probability proportional to w[i]. If the total cum[len−1] is not positive
+// (every weight zero) it falls back to a uniform choice. It panics on an
+// empty slice.
+//
+// It consumes one draw, and returns the index that a linear scan summing
+// the weights in the same order would: the smallest i with target < cum[i],
+// target = Float64()·total, found by bisection. A zero weight leaves the
+// running sum flat, so it is never the first sum above the target. When the
+// target reaches past the last sum (float slack), the draw is the last
+// strictly increasing step, the last weight that moved the sum. The sums
+// must not decrease, so negative weights are not allowed.
+func (r *Rand) CumulativeIndex(cum []float64) int {
+	n := len(cum)
+	if n == 0 {
+		panic("rng: CumulativeIndex with empty sums")
 	}
-	var total float64
-	for _, x := range w {
-		if x > 0 {
-			total += x
-		}
-	}
+	total := cum[n-1]
 	if total <= 0 {
-		return r.Intn(len(w))
+		return r.Intn(n)
 	}
-	target := r.Float64() * total
-	var acc float64
-	for i, x := range w {
-		if x <= 0 {
-			continue
+	return searchCumulative(cum, r.Float64()*total)
+}
+
+// searchCumulative is CumulativeIndex's bisection for a given target in
+// [0, total]. Each step halves the range the first sum above the target can
+// lie in, with a conditional add rather than a branch: the target is
+// random, so a branch would mispredict at half the steps.
+func searchCumulative(cum []float64, target float64) int {
+	lo, n := 0, len(cum)
+	for n > 1 {
+		half := n >> 1
+		if cum[lo+half-1] <= target {
+			lo += half
 		}
-		acc += x
-		if target < acc {
-			return i
-		}
+		n -= half
 	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(w) - 1; i >= 0; i-- {
-		if w[i] > 0 {
-			return i
-		}
+	if cum[lo] > target {
+		return lo
 	}
-	return len(w) - 1
+	if lo+1 < len(cum) {
+		return lo + 1
+	}
+	// Floating-point slack: the last index whose weight moved the sum.
+	i := len(cum) - 1
+	for i > 0 && cum[i-1] >= cum[i] {
+		i--
+	}
+	return i
 }
 
 // Perm returns a random permutation of [0, n).

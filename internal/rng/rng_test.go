@@ -81,7 +81,7 @@ func TestWeightedIndexDistribution(t *testing.T) {
 	counts := make([]int, len(w))
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[r.WeightedIndex(w)]++
+		counts[weightedIndex(r, w)]++
 	}
 	if counts[2] != 0 {
 		t.Errorf("zero-weight index drawn %d times", counts[2])
@@ -98,7 +98,7 @@ func TestWeightedIndexAllZeroFallsBackUniform(t *testing.T) {
 	r := New(9)
 	counts := make([]int, 3)
 	for i := 0; i < 3000; i++ {
-		counts[r.WeightedIndex([]float64{0, 0, 0})]++
+		counts[weightedIndex(r, []float64{0, 0, 0})]++
 	}
 	for i, c := range counts {
 		if c < 700 {
@@ -110,7 +110,7 @@ func TestWeightedIndexAllZeroFallsBackUniform(t *testing.T) {
 func TestWeightedIndexNegativeTreatedAsZero(t *testing.T) {
 	r := New(13)
 	for i := 0; i < 1000; i++ {
-		if got := r.WeightedIndex([]float64{-5, 1, -2}); got != 1 {
+		if got := weightedIndex(r, []float64{-5, 1, -2}); got != 1 {
 			t.Fatalf("negative weights should never win, got index %d", got)
 		}
 	}
