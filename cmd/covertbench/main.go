@@ -1,7 +1,6 @@
-// Command covertbench regenerates the covert-channel experiments of the
-// paper: Fig. 4 (feasibility), Fig. 12 (mitigation grid), Fig. 13 (heatmaps),
-// Fig. 14 (distributions), Fig. 15 (channel capacity), and the self-driving
-// car scenario of §III-e.
+// Command covertbench regenerates the covert-channel sections of the
+// evaluation report: the rows of experiments.Sections with a -fig key (Figs.
+// 4 and 12–15, the car channel of §III-e and the covert-channel extensions).
 //
 // Usage:
 //
@@ -36,7 +35,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("covertbench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "experiment: 4 | 12 | 13 | 14 | 15 | car | ablation | rate | multipair | receivers | detect | campaign | all")
+	_, keys := selectFigs("")
+	fig := fs.String("fig", "all", "experiment: "+strings.Join(keys, " | ")+" | all")
 	scaleName := fs.String("scale", "quick", "experiment scale: quick | full")
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "trial workers: 0 = one per CPU, 1 = sequential")
@@ -59,34 +59,9 @@ func run(args []string) error {
 	sc.Seed = *seed
 	sc.Parallel = *parallel
 
-	type runner struct {
-		name string
-		fn   func() error
-	}
-	w := os.Stdout
-	all := []runner{
-		{"4", func() error { _, err := experiments.Fig04(sc, w); return err }},
-		{"12", func() error { _, err := experiments.Fig12(sc, w); return err }},
-		{"13", func() error { _, err := experiments.Fig13(sc, w); return err }},
-		{"14", func() error { _, err := experiments.Fig14(sc, w); return err }},
-		{"15", func() error { _, err := experiments.Fig15(sc, w); return err }},
-		{"car", func() error { _, err := experiments.CarChannel(sc, w); return err }},
-		{"ablation", func() error { _, err := experiments.Ablation(sc, w); return err }},
-		{"rate", func() error { _, err := experiments.Rate(sc, w); return err }},
-		{"multipair", func() error { _, err := experiments.MultiPairReport(sc, w); return err }},
-		{"receivers", func() error { _, err := experiments.ReceiverZoo(sc, w); return err }},
-		{"detect", func() error { _, err := experiments.Detection(sc, w); return err }},
-		{"campaign", func() error { _, err := experiments.Campaign(sc, w); return err }},
-	}
-	want := strings.ToLower(*fig)
-	var selected []runner
-	for _, r := range all {
-		if want == "all" || want == r.name {
-			selected = append(selected, r)
-		}
-	}
+	selected, _ := selectFigs(*fig)
 	if len(selected) == 0 {
-		return fmt.Errorf("unknown experiment %q", *fig)
+		return fmt.Errorf("unknown experiment %q (want %s or all)", *fig, strings.Join(keys, ", "))
 	}
 
 	// Campaign ops: one Progress "trial" per experiment, the run ledger, and
@@ -113,15 +88,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range selected {
-		fmt.Fprintf(w, "==== experiment %s (scale=%s, seed=%d) ====\n", r.name, *scaleName, *seed)
+	w := os.Stdout
+	for _, sec := range selected {
+		fmt.Fprintf(w, "==== experiment %s (scale=%s, seed=%d) ====\n", sec.Key, *scaleName, *seed)
 		prog.TrialStart()
 		start := time.Now()
-		err := r.fn()
+		_, err := sec.Run(sc, w)
 		prog.TrialDone(0, 0, time.Since(start))
 		if err != nil {
 			stopProf()
-			return fmt.Errorf("experiment %s: %w", r.name, err)
+			return fmt.Errorf("experiment %s: %w", sec.Key, err)
 		}
 		ledger.AddCounter("experiments", 1)
 		fmt.Fprintln(w)
@@ -131,4 +107,20 @@ func run(args []string) error {
 	}
 	exitCode = 0
 	return nil
+}
+
+// selectFigs returns the sections -fig fig names, the one keyed fig (in any
+// case) or every keyed section for "all", and every valid key, in report
+// order.
+func selectFigs(fig string) (selected []experiments.Section, keys []string) {
+	for _, sec := range experiments.Sections {
+		if sec.Key == "" {
+			continue
+		}
+		keys = append(keys, sec.Key)
+		if strings.EqualFold(fig, "all") || strings.EqualFold(fig, sec.Key) {
+			selected = append(selected, sec)
+		}
+	}
+	return selected, keys
 }

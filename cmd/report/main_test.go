@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"timedice/internal/experiments"
 )
 
 // TestBadFlagsRejected: an unknown -scale, a negative -parallel and a stray
@@ -26,6 +28,20 @@ func TestBadFlagsRejected(t *testing.T) {
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("run(%v) created %s", tc.args, out)
+		}
+	}
+}
+
+// TestHostMeasuredTitles: the CI step that diffs the quick report against
+// the base tree drops every section whose heading starts with "## Tables IV",
+// because those sections print wall-clock measurements of the host. The
+// host-measured sections must be exactly the ones with that title prefix, so
+// renaming one, or adding another, fails here rather than in that diff.
+func TestHostMeasuredTitles(t *testing.T) {
+	for _, sec := range experiments.Sections {
+		if skipped := strings.HasPrefix(sec.Title, "Tables IV"); skipped != sec.HostMeasured {
+			t.Errorf("section %s: HostMeasured=%v but CI's canonicaliser skips it=%v (title %q)",
+				sec.Name, sec.HostMeasured, skipped, sec.Title)
 		}
 	}
 }

@@ -391,7 +391,6 @@ type Policy struct {
 	searchIdle  bool
 	searchStamp uint64
 	searchValid vtime.Time
-	searchLen   int // partition count the stored search covered
 
 	lastCandidates int64
 	lastTests      int64
@@ -460,7 +459,8 @@ func (p *Policy) ResetStats() {
 // Reset restores the policy to its initial state — counters zeroed, every
 // cached verdict dropped, scratch capacity retained — so a reused policy is
 // indistinguishable from a freshly constructed one. The engine's
-// System.Reset calls it automatically. The lottery draws from the engine's
+// System.Reset calls it automatically, and Pick calls it when the policy
+// moves to another System. The lottery draws from the engine's
 // system stream, so the policy holds no random state of its own.
 func (p *Policy) Reset() {
 	p.ResetStats()
@@ -469,7 +469,6 @@ func (p *Policy) Reset() {
 	p.searchIdle = false
 	p.searchStamp = 0
 	p.searchValid = 0
-	p.searchLen = 0
 	p.cache.Reset()
 }
 
@@ -511,7 +510,7 @@ func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint6
 	// Epoch is by construction the maximum of the per-partition stamps, so
 	// the staleness check is O(1) instead of an O(P) scan.
 	m := sys.Epoch()
-	if !p.searchInit || p.searchLen != len(sys.Partitions) {
+	if !p.searchInit {
 		return false, m
 	}
 	return (cacheIgnoresInvalidation || m == p.searchStamp) && now <= p.searchValid, m
@@ -527,14 +526,18 @@ func (p *Policy) searchReusable(sys *engine.System, now vtime.Time) (bool, uint6
 // decision, and hence the engine's arena publication, its ready bitset, the
 // cache, search reuse and the kernel to the reference.
 func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
-	p.stats.Decisions++
 	v := &p.view
 	if p.sys != sys {
 		// New allocates a System's arenas, Fork clones them into a new
-		// System, and Reset and Restore rewrite them in place.
+		// System, and Reset and Restore rewrite them in place. The cached
+		// verdicts and the stored search are keyed by the old System's
+		// stamps, so a Policy moved to another System starts afresh,
+		// counters included.
+		p.Reset()
 		v.bind(sys.Hot())
 		p.sys = sys
 	}
+	p.stats.Decisions++
 	v.now = now
 	n := len(sys.Partitions)
 
@@ -552,7 +555,6 @@ func (p *Policy) Pick(sys *engine.System, now vtime.Time) *partition.Partition {
 		p.searchIdle = res.IdleOK
 		p.searchStamp = maxStamp
 		p.searchValid = p.cache.searchValid
-		p.searchLen = n
 	}
 	p.stats.SchedTests += res.Tests
 	sys.Counters.FixpointIters += res.FixpointIters

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"timedice/internal/analysis"
+	"timedice/internal/check"
 	"timedice/internal/core"
 	"timedice/internal/engine"
 	"timedice/internal/model"
@@ -384,5 +385,38 @@ func TestSnapshotMatchesServers(t *testing.T) {
 			st.Remaining != srv.Remaining() || st.NextReplenish != srv.Deadline() {
 			t.Errorf("state %d mismatch: %+v", i, st)
 		}
+	}
+}
+
+// TestPolicyReuseAcrossSystems: a Policy that served one System and then
+// picks for another schedules the second exactly as a fresh Policy would.
+// Its verdicts and stored search were keyed by the first System's state
+// stamps, which say nothing about the second.
+func TestPolicyReuseAcrossSystems(t *testing.T) {
+	run := func(pol *core.Policy, d vtime.Duration) (engine.Counters, uint64) {
+		t.Helper()
+		built, err := workload.TableIBase().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := engine.New(built.Partitions, pol, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dig := check.NewDigester()
+		sys.AttachTelemetry(dig)
+		sys.RunFor(d)
+		sys.FlushTelemetry()
+		return sys.Counters, dig.Digest()
+	}
+	reused := core.NewPolicy()
+	run(reused, 3*vtime.Second)
+	gotCounters, gotDigest := run(reused, 2*vtime.Second)
+	wantCounters, wantDigest := run(core.NewPolicy(), 2*vtime.Second)
+	if gotCounters != wantCounters {
+		t.Errorf("reused policy counters\n  %+v\nfresh policy counters\n  %+v", gotCounters, wantCounters)
+	}
+	if gotDigest != wantDigest {
+		t.Errorf("reused policy event digest %#x, fresh policy %#x", gotDigest, wantDigest)
 	}
 }
