@@ -8,10 +8,12 @@ package engine_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 	"testing"
 
 	"timedice/internal/engine"
 	"timedice/internal/policies"
+	"timedice/internal/telemetry"
 	"timedice/internal/vtime"
 	"timedice/internal/workload"
 )
@@ -109,4 +111,43 @@ func pendingJobs(sys *engine.System) int {
 		}
 	}
 	return n
+}
+
+// TestSparseReleaseBursts measures, from the telemetry stream, how many cold
+// partitions of workload.Sparse(n) are replenished at the same instant. The
+// cold periods fall in 97 classes with zero offset, so each class comes due
+// as one burst of about (n−3)/97 partitions: the bursts the engine gathers
+// before delivering (sortDue). The test fails if the bursts shrink below
+// half that size, which would make the gather pointless on this workload.
+func TestSparseReleaseBursts(t *testing.T) {
+	for _, n := range []int{4096, 16384} {
+		sys := buildSparse(t, n)
+		sys.RunFor(5 * vtime.Second)
+		from := sys.Now()
+		steps := sys.Counters.Decisions
+		burst := map[vtime.Time]int{}
+		sys.AttachTelemetry(telemetry.Func(func(e telemetry.Event) {
+			if e.Kind == telemetry.KindBudgetReplenish && e.Partition >= 3 {
+				burst[e.Time]++
+			}
+		}))
+		sys.RunFor(10 * vtime.Second)
+		steps = sys.Counters.Decisions - steps
+		var sizes []int
+		total := 0
+		for _, k := range burst {
+			sizes = append(sizes, k)
+			total += k
+		}
+		slices.Sort(sizes)
+		if len(sizes) == 0 {
+			t.Fatalf("n=%d: no cold replenishment in %v..%v", n, from, sys.Now())
+		}
+		median, want := sizes[len(sizes)/2], (n-3)/97
+		t.Logf("n=%d, 10 simulated s from %v: %d cold replenishments at %d instants, burst median %d max %d (%.1f per instant), %d steps, %.3f per step",
+			n, from, total, len(sizes), median, sizes[len(sizes)-1], float64(total)/float64(len(sizes)), steps, float64(total)/float64(steps))
+		if 2*median < want {
+			t.Errorf("n=%d: median burst %d, want about %d", n, median, want)
+		}
+	}
 }

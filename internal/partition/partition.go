@@ -94,6 +94,15 @@ func (p *Partition) Clone() *Partition {
 	return c
 }
 
+// Touch loads one word from every cache line of the record that a delivery
+// (Server.AdvanceTo, Local.ReleaseUpTo, Hot) or the partition's next
+// execution (Local.Run, Server.Consume) reads, and returns their sum; it
+// changes nothing. The engine touches a whole burst of due partitions before
+// delivering to any of them, so their cache misses overlap instead of
+// waiting on each other. TestTouchCoversDeliveryLines pins the lines
+// against the record layout.
+func (p *Partition) Touch() int64 { return int64(p.Server.Remaining()) + p.Local.Touch() }
+
 // HotState is the flat snapshot of the scheduling-hot scalars of one
 // partition: everything the engine mirrors into its struct-of-arrays arenas
 // after an event delivery or an execution slice. Gathering them in one call

@@ -94,6 +94,14 @@ type state struct {
 	started bool
 }
 
+// touch loads one word from each 64-byte line of st that a release reads
+// (the descriptor's Period, the arrival cursor, the backlog's head index; no
+// two are more than 64 bytes apart) and returns their sum. It changes
+// nothing and, unlike arrivalAnchor, initialises nothing.
+func (st *state) touch() int64 {
+	return int64(st.task.Period) + int64(st.nextArrival) + int64(st.head)
+}
+
 // queue returns the live backlog, front first.
 func (st *state) queue() []*Job { return st.pending[st.head:] }
 
@@ -255,6 +263,24 @@ func (s *Scheduler) Task(i int) *Task { return &s.states[i].task }
 
 // Completed returns the number of jobs finished so far.
 func (s *Scheduler) Completed() int64 { return s.completed }
+
+// Touch loads one word from every cache line of the scheduler that
+// ReleaseUpTo and ReadyAndNext read — the task states, the freelist header,
+// the observer tag and ready count, the inline job — and from the line of
+// the fields the next Run reads besides (lastJob, completed), and returns
+// their sum. It only reads: it initialises no arrival anchor and fires no
+// callback. A single-task scheduler's state is read inline, not through the
+// states header, so none of the loads waits on another.
+func (s *Scheduler) Touch() int64 {
+	n := int64(len(s.free)) + int64(s.ready) + s.job0.Index + s.completed
+	if len(s.states) == 1 {
+		return n + s.state0[0].touch()
+	}
+	for i := range s.states {
+		n += s.states[i].touch()
+	}
+	return n
+}
 
 // ReleaseUpTo releases every job whose arrival instant is <= now.
 func (s *Scheduler) ReleaseUpTo(now vtime.Time) {

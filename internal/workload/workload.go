@@ -243,18 +243,6 @@ func uuniFast(r *rng.Rand, n int, total float64) []float64 {
 	return out
 }
 
-// Sparse builds an n-partition system with sparse activity: the first three
-// partitions run short-period (hot) workloads while the long tail wakes on
-// second-scale, mutually staggered periods, so at any instant almost every
-// partition is quiescent. The cold tail's per-partition WCET shrinks with n
-// (clamped to [20µs, 500µs]) so the aggregate cold demand stays ≈8–20% of the
-// CPU regardless of n — the work to do is constant while the partition
-// universe grows, which is the worst case for per-step O(P) scans and lets
-// the system reach a true allocation-free steady state even at P=16384 (a
-// constant WCET would overload the CPU above P≈2900 and grow job queues
-// without bound). For n ≤ 256 the clamp leaves the historical 500µs WCET
-// unchanged. The scaling benchmarks (BenchmarkEngineStepScale) step this
-// system at P ∈ {2, 8, 64, 256, 1024, 4096, 16384}.
 // Dense builds an n-partition system with dense activity — the opposite pole
 // from Sparse and the heavy-inversion shape that stresses the Algorithm-3
 // decision kernel. All partitions share one replenishment period (growing
@@ -287,6 +275,22 @@ func Dense(n int) model.SystemSpec {
 	return spec
 }
 
+// Sparse builds an n-partition system with sparse activity: the first three
+// partitions run short-period (hot) workloads while the long tail wakes on
+// second-scale periods, so between wake-ups almost every partition is
+// quiescent. The cold periods fall in 97 classes, 1 s + (i%97)·11 ms, all
+// with zero offset, so a class wakes together: each wake-up is a burst of
+// about (n−3)/97 partitions released at one instant (42 at n=4096, 169 at
+// n=16384; TestSparseReleaseBursts in internal/engine measures them). The
+// cold tail's per-partition WCET shrinks with n (clamped to [20µs, 500µs])
+// so the aggregate cold demand stays ≈8–20% of the CPU regardless of n —
+// the work to do is constant while the partition universe grows, which is
+// the worst case for per-step O(P) scans and lets the system reach a true
+// allocation-free steady state even at P=16384 (a constant WCET would
+// overload the CPU above P≈2900 and grow job queues without bound). For
+// n ≤ 256 the clamp leaves the historical 500µs WCET unchanged. The scaling
+// benchmarks (BenchmarkEngineStepScale) step this system at
+// P ∈ {2, 8, 64, 256, 1024, 4096, 16384}.
 func Sparse(n int) model.SystemSpec {
 	spec := model.SystemSpec{Name: fmt.Sprintf("sparse-%d", n)}
 	hot := 3
@@ -310,8 +314,8 @@ func Sparse(n int) model.SystemSpec {
 		wcet = 20 * vtime.Microsecond
 	}
 	for i := hot; i < n; i++ {
-		// Staggered second-scale periods: cold partitions wake rarely and
-		// almost never together.
+		// Second-scale periods in 97 classes: a cold partition wakes rarely,
+		// and together with the rest of its class.
 		period := vtime.Second + vtime.Duration(i%97)*vtime.MS(11)
 		spec.Partitions = append(spec.Partitions, model.PartitionSpec{
 			Name:   fmt.Sprintf("cold%d", i),
